@@ -16,7 +16,7 @@
 //! therefore share one denominator — the earlier harness let the reliable
 //! leg stream ahead of the barrier and "cost" −67% of the fast path.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mcsim::group::{Comm, Group};
 use mcsim::model::MachineModel;
@@ -44,9 +44,9 @@ use tulip::DistributedCollection;
 /// starts from a clock barrier; each repetition ends on one, so a leg
 /// whose work drains asynchronously (the reliable send half, say) is
 /// still charged its full round trip.  The best of `batches` batches is
-/// kept — the ranks are OS threads ping-ponging through condvars, so a
-/// single descheduling can add milliseconds to one batch, and the minimum
-/// is the standard scheduler-noise filter for wall-clock micros.
+/// kept — a single host descheduling can add milliseconds to one batch,
+/// and the minimum is the standard scheduler-noise filter for wall-clock
+/// micros.
 fn timed_leg(
     ep: &mut Endpoint,
     g: &Group,
@@ -709,7 +709,6 @@ fn settle_world(n: usize, crash: Option<f64>) -> (f64, RunReport<()>) {
         .with_supervisor(1)
         .with_recovery_config(RecoveryConfig {
             heartbeats: true,
-            lease_window: Duration::from_millis(20),
             lease_misses: 3,
             ..RecoveryConfig::default()
         })

@@ -68,7 +68,7 @@ fn usage() -> ! {
                     attribution files; exit 1 when any phase's critical-\n\
                     path seconds grew past T (default 0.25 = +25%)\n\
            scaling  [--n N] [--procs 64,256,1024] [--out FILE]\n\
-                    M:N-runner scaling curve: inspector build, coupled\n\
+                    green-task scaling curve: inspector build, coupled\n\
                     transfer settle, and HPF redistribution per P;\n\
                     writes BENCH_scaling.json (or FILE)\n\
            all                                         every table at paper size\n\

@@ -1,9 +1,9 @@
-//! `repro scaling` — scaling curves for the cooperative M:N runner.
+//! `repro scaling` — scaling curves for the green-task runner.
 //!
-//! The tentpole claim behind these numbers: the simulator's rank count is
-//! no longer bounded by OS threads.  Ranks are green tasks multiplexed
-//! over a small worker pool, so a P=1024 world is just more parked
-//! continuations, not 1024 kernel stacks.  Each curve point runs three
+//! The claim behind these numbers: the simulator's rank count is not
+//! bounded by OS threads.  Ranks are green tasks on one host thread, so
+//! a P=1024 world is just more parked continuations, not 1024 kernel
+//! stacks.  Each curve point runs three
 //! paper workloads at fixed problem size and growing P:
 //!
 //! * **inspector build** — the two-program Cooperation-method schedule
@@ -186,8 +186,8 @@ pub fn scaling_point(procs: usize, elements: usize) -> ScalingPoint {
 /// build exchanges descriptors over an alltoallv in the union group, so
 /// the *simulated message count* is Θ(P²) by construction and the
 /// simulator faithfully pays ~0.5 µs of host time per simulated message.
-/// The M:N scheduler's win is that those P² messages at P=1024 cost
-/// seconds on a worker pool instead of needing 1024 OS threads.
+/// The green-task runner's win is that those P² messages at P=1024 cost
+/// seconds on one thread instead of needing 1024 OS threads.
 pub fn sublinear(points: &[ScalingPoint]) -> bool {
     points.windows(2).all(|w| {
         let p_ratio = w[1].procs as f64 / w[0].procs as f64;

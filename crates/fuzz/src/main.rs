@@ -38,7 +38,7 @@ struct Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fuzz [--iters N] [--seed S] [--matrix] [--recover] [--wide] [--budget N] [--out DIR]\n       fuzz --replay FILE\n       fuzz --dump SEED   (print the generated scenario as JSON)\n\n--recover soaks crash-recovery scenarios: supervised worlds, scripted\nmid-transfer crashes, and the bit-identical convergence oracle.\n--wide soaks 8- and 16-rank worlds through the cooperative scheduler."
+        "usage: fuzz [--iters N] [--seed S] [--matrix] [--recover] [--wide] [--budget N] [--out DIR]\n       fuzz --replay FILE\n       fuzz --dump SEED   (print the generated scenario as JSON)\n\n--recover soaks crash-recovery scenarios: supervised worlds, scripted\nmid-transfer crashes, and the bit-identical convergence oracle.\n--wide soaks 8- and 16-rank worlds through the task scheduler."
     );
     std::process::exit(2);
 }
@@ -136,7 +136,7 @@ fn report_failure(opts: &Opts, sc: &Scenario, failure: Failure) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Scripted-crash scenarios panic inside worker threads *by design*;
+/// Scripted-crash scenarios panic inside rank tasks *by design*;
 /// the world catches them and reports typed errors.  Suppress just
 /// those expected payloads so the driver's stderr stays readable, and
 /// let anything unexpected print the full default report.

@@ -39,13 +39,14 @@ pub enum SimError {
         /// per supervisor restart; 0 for a never-restarted rank).
         incarnation: u64,
     },
-    /// The world's channels closed while waiting — every other rank has
-    /// already torn down.
+    /// The world tore down while waiting: every program finished, or the
+    /// world deadlocked with no message in flight and no wait able to
+    /// give up on its own.
     Shutdown,
     /// The world-level virtual-clock deadline (see
-    /// [`crate::world::World::with_deadline`]) elapsed, or the rank sat in
-    /// a blocking receive past the real-time silence cap while a deadline
-    /// was armed.  The run is declared wedged rather than allowed to hang.
+    /// [`crate::world::World::with_deadline`]) elapsed, or the world fell
+    /// silent while the rank sat in a blocking receive with a deadline
+    /// armed.  The run is declared wedged rather than allowed to hang.
     DeadlineExceeded,
 }
 

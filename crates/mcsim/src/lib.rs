@@ -4,21 +4,20 @@
 //! Alpha farm connected by ATM (PVM/UDP).  This crate substitutes those
 //! machines with a *simulated* message-passing machine:
 //!
-//! * every logical processor ("rank") is a cooperatively scheduled green
-//!   task, multiplexed M:N over a small worker pool by [`sched`] (a
-//!   legacy one-OS-thread-per-rank runner remains for comparison, but the
-//!   cooperative runner is the default and the only one that scales to
+//! * every logical processor ("rank") is a green task with its own stack;
+//!   all ranks run on the caller's thread, one at a time in virtual-clock
+//!   order, under the discrete-event core in [`sched`] (which scales to
 //!   1024-rank worlds),
-//! * ranks exchange real byte messages through channels (so data motion is
-//!   bit-exact and testable),
+//! * ranks exchange real byte messages through per-rank mailboxes (so
+//!   data motion is bit-exact and testable),
 //! * each rank carries a deterministic **virtual clock**: sends, receives and
 //!   modeled computation charge time according to a configurable
 //!   [`MachineModel`] (message latency, per-byte wire cost, per-message CPU
 //!   overheads, per-element compute costs).
 //!
-//! Because all receives name their source and tag, virtual time is a pure
-//! function of the program and the model — independent of host scheduling and
-//! host core count.  Reported times are *simulated seconds*, which is what
+//! Because all receives name their source and tag and ranks run in a total
+//! order of virtual timestamps, virtual time, traces and statistics are a
+//! pure function of the program and the model — independent of the host.  Reported times are *simulated seconds*, which is what
 //! the reproduction harness prints.
 //!
 //! ## Layers

@@ -241,9 +241,9 @@ impl Topology {
 
 /// Mutable network state of one run: when each directed link next frees.
 ///
-/// Shared by every endpoint of a world (behind a mutex); deterministic
-/// only under the cooperative runner, where exactly one rank executes at
-/// a time and so charges links in a deterministic total order.
+/// One plain value per world, owned by its discrete-event core
+/// ([`crate::sched`]): exactly one rank executes at a time, so links are
+/// charged in a deterministic total order.
 #[derive(Debug)]
 pub struct NetState {
     topo: Topology,

@@ -284,9 +284,9 @@ pub fn wait_notify(ep: &mut Endpoint, win: u32, n: usize) -> Result<(), SimError
 /// The request and reply ride tag class 0x7 with no sequencing of their
 /// own, so a faulted control plane loses them whole; re-sending under the
 /// same request id is idempotent (a late or duplicated reply just
-/// overwrites the same `get_replies` slot).  The attempt budget and the
-/// real-time silence window separating attempts come from the world's
-/// [`crate::recovery::RecoveryConfig`] (default: 4 × 80 ms).
+/// overwrites the same `get_replies` slot).  An attempt ends when the
+/// world falls silent with no reply; the attempt budget comes from the
+/// world's [`crate::recovery::RecoveryConfig`] (default: 4).
 pub fn get(
     ep: &mut Endpoint,
     target: Rank,
@@ -299,7 +299,6 @@ pub fn get(
     let req = ep.os.next_req;
     ep.os.next_req += 1;
     let attempts = ep.recovery.get_attempts;
-    let silence = ep.recovery.get_silence;
     for attempt in 0..attempts {
         let mut frame = ep.take_buf();
         frame.push(K_GET);
@@ -325,7 +324,7 @@ pub fn get(
             ep.check_evicted(target)?;
             // Silence means the request or its reply was lost in flight —
             // fall out to re-send the same request id.
-            if !ep.pump_some(silence)? {
+            if !ep.pump_some()? {
                 ep.mark(|| {
                     format!(
                         "onesided get retry req={req} win={win} attempt={}",

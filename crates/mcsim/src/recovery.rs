@@ -4,9 +4,10 @@
 //!
 //! * **Leases** — when heartbeats are armed, every rank broadcasts a
 //!   periodic beat (virtual-clock cadence, NIC plane) carrying its
-//!   *incarnation*.  A rank waiting on a peer counts real-time silence
-//!   windows against the peer's lease; when the configured number of
-//!   windows lapse with nothing heard, the wait fails with
+//!   *incarnation*.  A rank waiting on a peer counts the times the world
+//!   falls silent with nothing heard from the peer (silence wakes, see
+//!   [`crate::sched`]); when the configured number of them lapse, the
+//!   wait fails with
 //!   [`SimError::PeerEvicted`](crate::SimError::PeerEvicted) — a
 //!   membership decision, distinct from the transport retry-budget
 //!   give-up (`PeerTimeout`).
@@ -15,8 +16,8 @@
 //!   beat, purge any reliable streams still keyed to the old life, and
 //!   waits armed against the old incarnation fail fast so session-layer
 //!   retry loops can re-settle.
-//! * **Checkpoints** — the [`CkptStore`] is a world-level, thread-safe
-//!   key/value store every endpoint holds a handle to.  It survives a
+//! * **Checkpoints** — the [`CkptStore`] is a world-level key/value
+//!   store every endpoint holds a handle to.  It survives a
 //!   rank's crash (it lives outside the rank closure), which is what
 //!   makes restart-from-checkpoint possible: the respawned closure
 //!   restores objects and schedules instead of recomputing them.
@@ -25,36 +26,28 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Tunables for failure detection and bounded control-plane retries.
 ///
-/// The default configuration keeps heartbeats **off** and reproduces the
-/// historical one-sided get retry policy (4 attempts × 80 ms silence), so
-/// worlds that never opt in behave exactly as before.
+/// The default configuration keeps heartbeats **off** and gives a
+/// one-sided get 4 attempts, so worlds that never opt in behave exactly
+/// as before.
 ///
-/// The [`Duration`] fields are *real-time* caps only under the legacy
-/// threaded runner.  The cooperative runner observes silence exactly —
-/// the scheduler wakes a waiter at global quiescence, the only virtual
-/// instant a real-time window could meaningfully have expired — so under
-/// it these durations act as silence *windows* whose length never burns
-/// wall-clock time.
+/// Silence is never measured in wall-clock time: a get attempt or a lease
+/// window ends when the whole world falls silent with the wait pending
+/// (see [`crate::sched`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
     /// Attempts for an unacknowledged one-sided `get` request before the
     /// caller sees a typed `PeerTimeout`.
     pub get_attempts: u32,
-    /// Real-time silence allowed per one-sided `get` attempt.
-    pub get_silence: Duration,
     /// Arm the lease-based failure detector: ranks broadcast heartbeats
     /// and waits evict peers whose lease lapses.
     pub heartbeats: bool,
     /// Virtual seconds between heartbeat broadcasts from one rank.
     pub beat_interval: f64,
-    /// One lease window: real-time silence a waiting rank tolerates from
-    /// the watched peer before counting a missed lease.
-    pub lease_window: Duration,
-    /// Missed lease windows before the watched peer is evicted.
+    /// Silence wakes with nothing heard from the watched peer before it
+    /// is evicted.
     pub lease_misses: u32,
 }
 
@@ -62,10 +55,8 @@ impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
             get_attempts: 4,
-            get_silence: Duration::from_millis(80),
             heartbeats: false,
             beat_interval: 1e-3,
-            lease_window: Duration::from_millis(50),
             lease_misses: 4,
         }
     }
@@ -198,7 +189,6 @@ mod tests {
     fn default_config_matches_historical_get_policy() {
         let cfg = RecoveryConfig::default();
         assert_eq!(cfg.get_attempts, 4);
-        assert_eq!(cfg.get_silence, Duration::from_millis(80));
         assert!(!cfg.heartbeats);
     }
 }

@@ -9,8 +9,7 @@
 //! calls [`record_abort`], which snapshots the endpoint's flight
 //! recorder — the last [`mcsim::span::FLIGHT_RING_CAP`] events, always
 //! recorded — into a per-rank, endpoint-scratch-keyed [`AbortReport`]
-//! (not a thread-local: under the cooperative runner one OS thread hosts
-//! many ranks).  The SPMD
+//! (not a thread-local: one OS thread hosts every rank).  The SPMD
 //! closure that observed the `McError` can then pick the report up with
 //! [`take_last_abort`] and attach it to whatever error surface it uses,
 //! turning a bare error code into a post-mortem: which pair, which
@@ -120,8 +119,8 @@ pub fn attribute_pairs(
 }
 
 /// Scratch key of the per-rank last-abort slot (endpoint scratch rather
-/// than a thread-local, so it stays rank-local under the cooperative
-/// runner where one OS thread hosts many ranks).
+/// than a thread-local, so it stays rank-local: one OS thread hosts
+/// every rank).
 const LAST_ABORT_KEY: u32 = 0x4142_5254; // "ABRT"
 
 /// Capture the flight recorder into this rank's [`AbortReport`].  Called

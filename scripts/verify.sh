@@ -9,6 +9,18 @@ cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The aarch64 task context switch is not compiled on an x86_64 host, so
+# assemble it on its own: a typo in it must fail here, not on the first
+# aarch64 build.
+echo "== aarch64 context switch assembles =="
+if command -v llvm-mc >/dev/null 2>&1; then
+  asm_obj="$(mktemp -t mc_ctx.XXXXXX.o)"
+  llvm-mc -triple=aarch64-linux-gnu -filetype=obj crates/mcsim/src/ctx_aarch64.s -o "$asm_obj"
+  rm -f "$asm_obj"
+else
+  echo "SKIP !!! llvm-mc not found: crates/mcsim/src/ctx_aarch64.s was NOT assembled !!!"
+fi
+
 # Fault-injection gate: the fault matrix drives every injector kind through
 # the coupled transfer, plus the transactional-transfer suite (stale
 # schedules, manifest mismatches, mid-transfer crashes, idempotent retries).

@@ -22,7 +22,6 @@ use multiblock::MultiblockArray;
 use tulip::DistributedCollection;
 
 use mcsim::test_seeds as seeds;
-use std::time::Duration;
 
 /// Phase-matrix problem size (multiblock -> HPF, 2 senders, 2 receivers).
 const N: usize = 256;
@@ -37,11 +36,10 @@ fn value(k: u64, x: usize) -> f64 {
     ((k + 1) * 1000 + 3 * x as u64 + 1) as f64
 }
 
-/// A fast failure detector so evictions (and thus the whole suite) fit
-/// in test time: 3 missed 20 ms leases evict.
+/// A fast failure detector: 3 silence wakes with nothing heard from the
+/// watched peer evict it.
 fn detector() -> RecoveryConfig {
     RecoveryConfig {
-        lease_window: Duration::from_millis(20),
         lease_misses: 3,
         ..RecoveryConfig::default()
     }

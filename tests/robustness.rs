@@ -256,8 +256,8 @@ fn scripted_crash_fires_and_peer_recovers() {
 
 /// `recv_timeout` semantics: a virtually-late message is left stashed and
 /// reported as [`SimError::PeerTimeout`], after which a plain receive still
-/// takes it; a peer that never sends at all trips the wall-clock liveness
-/// cap instead of hanging.
+/// takes it; a peer that never sends at all times out when the world
+/// falls silent instead of hanging.
 #[test]
 fn recv_timeout_virtual_deadline_and_liveness_cap() {
     use mcsim::{MachineModel, SimError, Tag, World};
@@ -283,7 +283,7 @@ fn recv_timeout_virtual_deadline_and_liveness_cap() {
     assert_eq!(out.results[0].1, vec![1, 2, 3]);
 
     // Never-sent: the virtual clock cannot advance on silence, so the
-    // real-time liveness cap converts it into the same PeerTimeout.
+    // silence wake converts it into the same PeerTimeout.
     let out = World::with_model(2, MachineModel::sp2()).run(|ep| {
         if ep.rank() == 0 {
             let r = ep.recv_timeout(1, Tag::user(10), 1e-6);

@@ -6,9 +6,9 @@
 //! executed `data_move` must put exactly the same message counts and sizes
 //! on the wire.
 //!
-//! Each build runs in its own fresh `World` so the per-thread schedule
-//! sequence counters start from the same state and the seq numbers are
-//! comparable across implementations.
+//! Each build runs in its own fresh `World` so the per-rank schedule
+//! sequence counters (endpoint scratch slots) start from the same state
+//! and the seq numbers are comparable across implementations.
 
 use mcsim::group::{Comm, Group};
 use mcsim::prelude::Endpoint;

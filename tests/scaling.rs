@@ -1,210 +1,24 @@
-//! Scaling and determinism properties of the cooperative M:N runner.
+//! Scaling properties of the single-threaded discrete-event core.
 //!
-//! The contract under test (DESIGN.md §4j): the virtual clock drives a
-//! **total order** over rank execution — a rank runs until it blocks on a
-//! communication op, parks, and the scheduler resumes the runnable rank
-//! with the lowest `(virtual_time, rank)` key.  The worker-pool size is a
-//! hosting detail, so the same seed must produce byte-identical traces and
-//! `NetStats` whether the pool has 1 worker, 4, or one per logical CPU —
-//! and must agree with the legacy thread-per-rank runner, whose real-time
-//! races the virtual clock was designed to make irrelevant.
+//! The contract (DESIGN.md §4j): the virtual clock drives a **total
+//! order** over rank execution — a rank runs until it blocks on a
+//! communication op, parks, and the core resumes the runnable rank with
+//! the lowest `(virtual_time, rank)` key.  Byte-identical replay of whole
+//! runs is pinned by the digest gate in `tests/digests.rs`.
 //!
-//! Also here: the P=1024 memory budget (a big world must stay cheap until
+//! Here: the P=1024 memory budget (a big world must stay cheap until
 //! ranks actually run — lazy coroutine stacks, lazy flight rings, capped
 //! timelines) and the topology model's determinism under contention.
 
-use mcsim::fault::{test_seeds, FaultPlan, FaultRates};
 use mcsim::model::{MachineModel, Topology};
 use mcsim::prelude::Endpoint;
-use mcsim::reliable::{reliable_recv, reliable_send, StreamTag};
-use mcsim::stats::NetStats;
-use mcsim::trace::TraceEvent;
 use mcsim::world::World;
 
 const P: usize = 64;
 
-/// Worker-pool sizes to cross-check: serial, small, and one per CPU.
-fn worker_pools() -> Vec<usize> {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut pools = vec![1, 4, cpus];
-    pools.dedup();
-    pools.sort_unstable();
-    pools.dedup();
-    pools
-}
-
-/// Tiny keyed xorshift so every (seed, rank, round, hop) gets its own
-/// payload without any external RNG.
-fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
-    let mut x = seed ^ (a << 40) ^ (b << 20) ^ c ^ 0x9e37_79b9_7f4a_7c15;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x.max(1)
-}
-
-/// SPMD workload with enough cross-rank structure to expose ordering bugs:
-/// three rounds of reliable-stream exchange at hop distances 1 and 17
-/// (coprime with 64, so messages cross the whole rank space), payload
-/// sizes varied per edge.  Returns a checksum of everything received.
-fn exchange_workload(ep: &mut Endpoint, seed: u64) -> u64 {
-    let p = ep.world_size();
-    let me = ep.rank();
-    let mut sum = 0u64;
-    for round in 0..3u64 {
-        let st = StreamTag::new(0x5CA1, round as u32);
-        for &hop in &[1usize, 17 % p.max(1)] {
-            let to = (me + hop) % p;
-            let n = (mix(seed, me as u64, round, hop as u64) % 96 + 8) as usize;
-            let payload: Vec<u8> = (0..n)
-                .map(|i| mix(seed, to as u64, round, i as u64) as u8)
-                .collect();
-            reliable_send(ep, to, st, payload).unwrap();
-        }
-        for &hop in &[1usize, 17 % p.max(1)] {
-            let from = (me + p - hop) % p;
-            let got = reliable_recv(ep, from, st).unwrap();
-            sum = sum.wrapping_add(
-                got.iter()
-                    .fold(0u64, |acc, &b| acc.wrapping_mul(31).wrapping_add(b as u64)),
-            );
-        }
-    }
-    sum
-}
-
-/// One full observation of a run: everything that must be identical for
-/// two runs to count as "the same execution".
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    results: Vec<u64>,
-    clocks: Vec<f64>,
-    elapsed: f64,
-    stats: NetStats,
-    traces: Vec<Vec<TraceEvent>>,
-}
-
-fn run_fingerprint(world: World, seed: u64) -> Fingerprint {
-    let out = world.run(move |ep| exchange_workload(ep, seed));
-    Fingerprint {
-        results: out.results,
-        clocks: out.clocks,
-        elapsed: out.elapsed,
-        stats: out.stats,
-        traces: out.traces,
-    }
-}
-
-/// Tentpole determinism claim: the coop scheduler's worker count is pure
-/// hosting.  Same seed ⇒ byte-identical traces, NetStats, clocks across
-/// pools {1, 4, num_cpus} at P=64, for every committed fault seed.
-#[test]
-fn coop_worker_pool_size_is_invisible_at_p64() {
-    for seed in test_seeds() {
-        let mut baseline: Option<(usize, Fingerprint)> = None;
-        for workers in worker_pools() {
-            let world = World::with_model(P, MachineModel::sp2())
-                .with_workers(workers)
-                .with_faults(FaultPlan::new(seed).rates(FaultRates {
-                    drop: 0.04,
-                    dup: 0.03,
-                    delay: 0.05,
-                    delay_secs: 2e-4,
-                    ..FaultRates::default()
-                }))
-                .with_trace();
-            let fp = run_fingerprint(world, seed);
-            match &baseline {
-                None => baseline = Some((workers, fp)),
-                Some((w0, fp0)) => assert_eq!(
-                    fp0, &fp,
-                    "seed {seed}: {workers}-worker run diverged from {w0}-worker run"
-                ),
-            }
-        }
-    }
-}
-
-/// Strip a trace down to the events whose order is program-defined: data
-/// sends/recvs, spans, marks.  Protocol-plane bookkeeping (acks, window
-/// advances, retransmit timers) is pumped opportunistically, so under the
-/// threaded runner its interleaving into the timeline depends on
-/// wall-clock races — two identical threaded runs disagree on it.
-fn data_plane(traces: &[Vec<TraceEvent>]) -> Vec<Vec<TraceEvent>> {
-    traces
-        .iter()
-        .map(|t| {
-            t.iter()
-                .filter(|e| match e {
-                    TraceEvent::Send { tag, .. } | TraceEvent::Recv { tag, .. } => {
-                        tag.class() != mcsim::Tag::CLASS_RELIABLE_CTRL
-                    }
-                    TraceEvent::Retransmit { .. }
-                    | TraceEvent::WindowAdvance { .. }
-                    | TraceEvent::WindowStall { .. }
-                    | TraceEvent::RetransmitBurst { .. } => false,
-                    _ => true,
-                })
-                .cloned()
-                .collect()
-        })
-        .collect()
-}
-
-/// Ablation parity: the legacy thread-per-rank runner — real OS threads,
-/// real races — must reproduce the cooperative runner's execution on every
-/// observable the threaded runner can itself reproduce: results, virtual
-/// clocks, traffic matrices, session/recovery counters, ack counts, and
-/// the data-plane trace.  (Protocol tail accounting like
-/// `window_advances` is excluded: it depends on when the pump drains
-/// relative to each rank's exit snapshot, and is not stable even between
-/// two threaded runs — making it deterministic is exactly what the coop
-/// runner adds.)
-#[test]
-fn coop_matches_threaded_runner_at_p64() {
-    for seed in test_seeds() {
-        let coop = run_fingerprint(
-            World::with_model(P, MachineModel::sp2())
-                .with_workers(4)
-                .with_trace(),
-            seed,
-        );
-        let threaded = run_fingerprint(
-            World::with_model(P, MachineModel::sp2())
-                .threaded()
-                .with_trace(),
-            seed,
-        );
-        assert_eq!(coop.results, threaded.results, "seed {seed}: results");
-        assert_eq!(coop.clocks, threaded.clocks, "seed {seed}: clocks");
-        assert_eq!(coop.elapsed, threaded.elapsed, "seed {seed}: elapsed");
-        assert_eq!(coop.stats.msgs, threaded.stats.msgs, "seed {seed}: msgs");
-        assert_eq!(coop.stats.bytes, threaded.stats.bytes, "seed {seed}: bytes");
-        assert_eq!(
-            coop.stats.session, threaded.stats.session,
-            "seed {seed}: session stats"
-        );
-        assert_eq!(
-            coop.stats.recovery, threaded.stats.recovery,
-            "seed {seed}: recovery stats"
-        );
-        assert_eq!(
-            coop.stats.faults.acks_sent, threaded.stats.faults.acks_sent,
-            "seed {seed}: acks (one per data frame, timing-independent)"
-        );
-        assert_eq!(
-            data_plane(&coop.traces),
-            data_plane(&threaded.traces),
-            "seed {seed}: data-plane traces"
-        );
-    }
-}
-
 /// A 1024-rank world must build and run a neighbor exchange within the
 /// documented memory budget: peak RSS (VmHWM) under 512 MiB.  The budget
-/// holds because coroutine stacks are raw-allocated and never pre-touched
+/// holds because coroutine stacks are mapped and never pre-touched
 /// (~2 resident pages each until a rank runs), flight rings allocate
 /// lazily and shrink to 16 slots past P=256, and the per-rank O(P)
 /// traffic counters total ~16 MiB at P=1024.
@@ -268,8 +82,7 @@ fn big_worlds_shrink_the_flight_ring() {
 
 /// Topology end-to-end: an 8×8 torus under an incast (everyone sends to
 /// rank 0) must charge link contention on the virtual clock, finish later
-/// than the contention-free crossbar, and stay deterministic across
-/// worker-pool sizes.
+/// than the contention-free crossbar, and replay identically.
 #[test]
 fn torus_incast_queues_deterministically() {
     fn incast(ep: &mut Endpoint) -> f64 {
@@ -284,41 +97,31 @@ fn torus_incast_queues_deterministically() {
         ep.clock()
     }
 
-    let mut fingerprints = Vec::new();
-    for workers in worker_pools() {
-        let world = World::with_model(P, MachineModel::sp2())
+    let run = || {
+        let out = World::with_model(P, MachineModel::sp2())
             .with_topology(Topology::Torus2D { cols: 8, rows: 8 })
-            .with_workers(workers)
-            .with_trace();
-        let out = world.run(incast);
+            .with_trace()
+            .run(incast);
         assert!(
             out.contended_secs > 0.0,
             "64-to-1 incast on a torus must contend somewhere"
         );
-        fingerprints.push((
-            workers,
+        (
             out.elapsed,
             out.clocks,
             out.traces,
             out.stats,
             out.contended_secs,
-        ));
-    }
-    for pair in fingerprints.windows(2) {
-        assert_eq!(
-            (&pair[0].1, &pair[0].2, &pair[0].3, &pair[0].4, &pair[0].5),
-            (&pair[1].1, &pair[1].2, &pair[1].3, &pair[1].4, &pair[1].5),
-            "torus incast diverged between {} and {} workers",
-            pair[0].0,
-            pair[1].0
-        );
-    }
+        )
+    };
+    let first = run();
+    assert_eq!(first, run(), "torus incast diverged between two runs");
 
     let crossbar = World::with_model(P, MachineModel::sp2()).run(incast);
     assert!(
-        fingerprints[0].1 > crossbar.elapsed,
+        first.0 > crossbar.elapsed,
         "torus incast ({}) should finish after the contention-free crossbar ({})",
-        fingerprints[0].1,
+        first.0,
         crossbar.elapsed
     );
 }
