@@ -30,10 +30,9 @@ const REPS_MIX: usize = 12;
 /// `scripts/verify.sh` can loop seeds from outside).
 use mcsim::test_seeds as seeds;
 
-/// The deterministic (sender-side) slice of the fault counters: what the
-/// injector did and how the senders reacted.  Receiver-side tail counters
-/// (late duplicate frames, stale acks) depend on drain timing and are
-/// deliberately excluded.
+/// The sender-side slice of the fault counters: what the injector did and
+/// how the senders reacted.  Full `NetStats`, receiver side included, are
+/// pinned by `tests/digests.rs`.
 fn deterministic_counters(f: &FaultStats) -> (u64, u64, u64, u64, u64, u64) {
     (
         f.drops_injected,
