@@ -9,7 +9,7 @@
 //! so the pack → wire-encode → transfer → decode → unpack pipeline is
 //! exercised end to end on both paths.
 //!
-//! Every leg goes through one shared harness ([`timed_leg`]): all paths
+//! Every leg goes through one shared harness (`timed_leg`): all paths
 //! are warmed before anything is timed, and every repetition is bracketed
 //! by a clock barrier so no leg can pipeline across repetitions while
 //! another is measured round-trip.  Overheads reported against `fast_ns`

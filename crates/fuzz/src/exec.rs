@@ -398,7 +398,7 @@ pub struct WorldRun {
     /// against these windows.
     pub windows: Vec<Option<(f64, f64)>>,
     /// One-paragraph critical-path summary of the run's coupled
-    /// transfers ([`mcsim::analyze`]) — `None` when the trace recorded
+    /// transfers ([`mcsim::analyze()`]) — `None` when the trace recorded
     /// no transfer spans.  Oracles embed it in failure post-mortems so
     /// a shrunk repro arrives with its own bottleneck analysis.
     pub critical_path: Option<String>,

@@ -31,8 +31,7 @@ use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultState};
 use crate::message::{Body, Message, Rank, DROP_PREFIX};
 use crate::model::MachineModel;
-use crate::onesided::OnesidedState;
-use crate::recovery::{CkptStore, RecoveryConfig};
+use crate::recovery::{self, CkptStore, RecoveryConfig};
 use crate::reliable::{self, ReliableConfig, ReliableState};
 use crate::sched::{ParkKind, Sched, WakeCause};
 use crate::span::{ObsState, Phase, SpanId};
@@ -71,14 +70,12 @@ pub struct Endpoint {
     pub(crate) poisoned: Option<(Rank, String)>,
     /// Reliable-transport stream state (see [`crate::reliable`]).
     pub(crate) rel: ReliableState,
-    /// One-sided (exposed-window put/get) state (see [`crate::onesided`]).
-    pub(crate) os: OnesidedState,
     /// Virtual-clock deadline for the whole run, when the world was built
     /// with [`crate::world::World::with_deadline`].  Blocking pumps check
     /// it and fail with [`SimError::DeadlineExceeded`] instead of waiting
     /// forever.
     deadline: Option<f64>,
-    /// Recovery knobs (heartbeat cadence, lease budget, get retries).
+    /// Recovery knobs (heartbeat switch, cadence, lease budget).
     pub(crate) recovery: RecoveryConfig,
     /// True when the world was built with a supervisor.
     supervised: bool,
@@ -151,7 +148,6 @@ impl Endpoint {
             faults: faults.map(|p| FaultState::new(p.clone(), rank)),
             poisoned: None,
             rel: ReliableState::new(rel_cfg),
-            os: OnesidedState::default(),
             deadline,
             recovery,
             supervised: supervisor.is_some(),
@@ -551,16 +547,12 @@ impl Endpoint {
         let incarnation = self.incarnation;
         self.stats.recovery.heartbeats_sent += 1;
         self.trace_push(TraceEvent::Heartbeat { at, incarnation });
-        let tag = crate::onesided::beat_tag();
+        let tag = recovery::beat_tag();
         for to in 0..self.world {
             if to == self.rank {
                 continue;
             }
-            let mut buf = Vec::with_capacity(17);
-            buf.push(crate::onesided::K_BEAT);
-            buf.extend_from_slice(&incarnation.to_le_bytes());
-            buf.extend_from_slice(&at.to_le_bytes());
-            self.nic_send(to, tag, buf, at);
+            self.nic_send(to, tag, recovery::encode_beat(incarnation, at), at);
         }
         self.last_beat = at;
     }
@@ -682,19 +674,16 @@ impl Endpoint {
                     tag,
                     body: Body::Data(b),
                     ..
-                } if tag == crate::onesided::beat_tag()
-                    && b.len() >= 17
-                    && b[0] == crate::onesided::K_BEAT =>
-                {
-                    let inc = u64::from_le_bytes(b[1..9].try_into().unwrap());
-                    self.note_peer_incarnation(src, inc);
+                } if tag == recovery::beat_tag() => {
+                    if let Some(inc) = recovery::decode_beat(&b) {
+                        self.note_peer_incarnation(src, inc);
+                    }
                 }
                 _ => {}
             }
         }
         self.stash.clear();
         self.rel.purge_all();
-        self.os.reset_keep_reqs();
         self.armed_crash = None;
         self.evict_base = None;
         self.obs.stack.clear();
@@ -933,9 +922,9 @@ impl Endpoint {
 
     /// Route what is waiting, or park until something arrives or the
     /// world falls silent.  `Ok(true)` when a message was handled,
-    /// `Ok(false)` on silence — the caller decides what silence means
-    /// (a lease miss, or a one-sided get re-sending its request).
-    pub(crate) fn pump_some(&mut self) -> Result<bool, SimError> {
+    /// `Ok(false)` on silence, which [`Endpoint::pump_guarded`] counts as
+    /// a lease miss.
+    fn pump_some(&mut self) -> Result<bool, SimError> {
         if self.drain_ready()? > 0 {
             return Ok(true);
         }

@@ -9,8 +9,7 @@
 //! * The fate of a message is drawn from a small PRNG seeded by
 //!   `(plan seed, src, dst, tag, per-link message counter)` — never from a
 //!   shared sequential stream — so the same program under the same seed
-//!   sees the same faults regardless of how the host scheduler interleaves
-//!   rank threads.
+//!   sees the same faults regardless of the order in which ranks send.
 //! * A *dropped* message is still physically delivered as a
 //!   [`crate::message::Body::Dropped`] tombstone carrying only its
 //!   envelope.  Loss is therefore an observable event at the receiver,
@@ -20,11 +19,11 @@
 //! By default only the reliable-transport tag classes
 //! ([`Tag::CLASS_RELIABLE_DATA`], [`Tag::CLASS_RELIABLE_CTRL`]) are
 //! faulted; library-internal traffic (collectives, control), raw tags,
-//! and the one-sided control class ([`Tag::CLASS_ONESIDED_CTRL`], pure
-//! control plane with no retry protocol of its own) are untouched unless
-//! the mask says otherwise.  Control frames are never bit-flipped (they
-//! are a few bytes against multi-megabyte payloads; see `DESIGN.md` for
-//! the rationale).
+//! and heartbeats ([`Tag::CLASS_HEARTBEAT`], pure control plane with no
+//! retry protocol of its own) are untouched unless the mask says
+//! otherwise.  Control frames (reliable ACK / NACK / GIVEUP, heartbeats)
+//! are never bit-flipped (they are a few bytes against multi-megabyte
+//! payloads; see `DESIGN.md` for the rationale).
 
 use std::collections::HashMap;
 
@@ -237,8 +236,8 @@ impl FaultState {
             *c += 1;
             v
         };
-        // Fates are a pure function of (seed, src, dst, tag, n): thread
-        // interleaving cannot perturb them.
+        // Fates are a pure function of (seed, src, dst, tag, n): the order
+        // in which ranks send cannot perturb them.
         let mut rng = Rng::seed_from_u64(
             self.plan
                 .seed
@@ -253,7 +252,7 @@ impl FaultState {
             let drop = rng.gen_f64() < rates.drop;
             let corruptible = !drop
                 && tag.class() != Tag::CLASS_RELIABLE_CTRL
-                && tag.class() != Tag::CLASS_ONESIDED_CTRL
+                && tag.class() != Tag::CLASS_HEARTBEAT
                 && len > 0;
             let corrupt = corruptible && rng.gen_f64() < rates.corrupt;
             let corrupt_bit = if corrupt {
@@ -298,6 +297,7 @@ mod tests {
         assert!(!p.applies_to(Tag::user(5)));
         assert!(!p.applies_to(Tag::new(Tag::COLL_CTX, 0x5000_0000)));
         assert!(!p.applies_to(Tag::new(20, 0x4000_0001))); // raw data-move
+        assert!(!p.applies_to(crate::recovery::beat_tag()));
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub mod group;
 pub mod message;
 pub mod metrics;
 pub mod model;
-pub mod onesided;
 pub mod recovery;
 pub mod reliable;
 pub mod rng;
@@ -86,7 +85,6 @@ pub use group::{Comm, Group};
 pub use message::Rank;
 pub use metrics::{Histogram, MetricsRegistry};
 pub use model::{MachineModel, NetState, Topology};
-pub use onesided::{expose, get, put, put_flush, put_notify, wait_notify, window_bytes};
 pub use recovery::{CkptStore, RecoveryConfig};
 pub use reliable::{ReliableConfig, StreamTag};
 pub use rng::Rng;
@@ -105,7 +103,6 @@ pub mod prelude {
     pub use crate::message::Rank;
     pub use crate::metrics::MetricsRegistry;
     pub use crate::model::{MachineModel, Topology};
-    pub use crate::onesided::{expose, get, put, put_flush, put_notify, wait_notify, window_bytes};
     pub use crate::recovery::{CkptStore, RecoveryConfig};
     pub use crate::reliable::{ReliableConfig, StreamTag};
     pub use crate::span::{Phase, SpanId};

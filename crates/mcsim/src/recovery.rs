@@ -4,10 +4,12 @@
 //!
 //! * **Leases** — when heartbeats are armed, every rank broadcasts a
 //!   periodic beat (virtual-clock cadence, NIC plane) carrying its
-//!   *incarnation*.  A rank waiting on a peer counts the times the world
-//!   falls silent with nothing heard from the peer (silence wakes, see
-//!   [`crate::sched`]); when the configured number of them lapse, the
-//!   wait fails with
+//!   *incarnation*.  Beats ride their own tag class,
+//!   [`Tag::CLASS_HEARTBEAT`], which the default fault mask spares and the
+//!   injector never corrupts; this module owns their frame format.  A
+//!   rank waiting on a peer counts the times the world falls silent with
+//!   nothing heard from the peer (silence wakes, see [`crate::sched`]);
+//!   when the configured number of them lapse, the wait fails with
 //!   [`SimError::PeerEvicted`](crate::SimError::PeerEvicted) — a
 //!   membership decision, distinct from the transport retry-budget
 //!   give-up (`PeerTimeout`).
@@ -27,20 +29,52 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Tunables for failure detection and bounded control-plane retries.
+use crate::tag::Tag;
+
+/// Heartbeat frame discriminator.  A beat is `[K_BEAT][incarnation
+/// u64][clock f64]`, 17 bytes.
+const K_BEAT: u8 = 3;
+const BEAT_LEN: usize = 17;
+
+/// Stream id heartbeats ride on within [`Tag::CLASS_HEARTBEAT`].
+const BEAT_STREAM: u32 = 0x02FF_FFFF;
+
+/// The tag heartbeat broadcasts travel on.
+pub(crate) fn beat_tag() -> Tag {
+    Tag::new(
+        Tag::FIRST_USER_CTX,
+        (Tag::CLASS_HEARTBEAT << 28) | BEAT_STREAM,
+    )
+}
+
+/// Encode one heartbeat announcing `incarnation` at virtual time `clock`.
+pub(crate) fn encode_beat(incarnation: u64, clock: f64) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(BEAT_LEN);
+    buf.push(K_BEAT);
+    buf.extend_from_slice(&incarnation.to_le_bytes());
+    buf.extend_from_slice(&clock.to_le_bytes());
+    buf
+}
+
+/// The incarnation a heartbeat frame announces; `None` when `bytes` is
+/// not a well-formed beat.
+pub(crate) fn decode_beat(bytes: &[u8]) -> Option<u64> {
+    if bytes.len() < BEAT_LEN || bytes[0] != K_BEAT {
+        return None;
+    }
+    Some(u64::from_le_bytes(bytes[1..9].try_into().unwrap()))
+}
+
+/// Tunables for failure detection.
 ///
-/// The default configuration keeps heartbeats **off** and gives a
-/// one-sided get 4 attempts, so worlds that never opt in behave exactly
-/// as before.
+/// The default configuration keeps heartbeats **off**, so worlds that
+/// never opt in behave exactly as before.
 ///
-/// Silence is never measured in wall-clock time: a get attempt or a lease
-/// window ends when the whole world falls silent with the wait pending
-/// (see [`crate::sched`]).
+/// Silence is never measured in wall-clock time: a lease window ends when
+/// the whole world falls silent with the wait pending (see
+/// [`crate::sched`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
-    /// Attempts for an unacknowledged one-sided `get` request before the
-    /// caller sees a typed `PeerTimeout`.
-    pub get_attempts: u32,
     /// Arm the lease-based failure detector: ranks broadcast heartbeats
     /// and waits evict peers whose lease lapses.
     pub heartbeats: bool,
@@ -54,7 +88,6 @@ pub struct RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            get_attempts: 4,
             heartbeats: false,
             beat_interval: 1e-3,
             lease_misses: 4,
@@ -186,9 +219,9 @@ mod tests {
     }
 
     #[test]
-    fn default_config_matches_historical_get_policy() {
+    fn default_config_keeps_heartbeats_off() {
         let cfg = RecoveryConfig::default();
-        assert_eq!(cfg.get_attempts, 4);
         assert!(!cfg.heartbeats);
+        assert_eq!(cfg.lease_misses, 4);
     }
 }

@@ -1,11 +1,10 @@
 //! A reliable delivery layer over the (possibly faulted) simulated network.
 //!
-//! The raw [`Endpoint`](crate::endpoint::Endpoint) channel is physically
-//! FIFO and lossless, but a [`crate::fault::FaultPlan`] makes it lossy:
-//! frames are dropped (delivered as tombstones), duplicated, bit-flipped,
-//! or delayed.  This module implements a **sliding-window** protocol per
-//! `(peer, stream)` that survives all of that while keeping many frames in
-//! flight:
+//! The raw [`Endpoint`] channel is physically FIFO and lossless, but a
+//! [`crate::fault::FaultPlan`] makes it lossy: frames are dropped
+//! (delivered as tombstones), duplicated, bit-flipped, or delayed.  This
+//! module implements a **sliding-window** protocol per `(peer, stream)`
+//! that survives all of that while keeping many frames in flight:
 //!
 //! * **DATA frames** are the payload plus a 24-byte trailer
 //!   `[seq u64][attempt u16][flags u16][magic u32][checksum u64]` —
@@ -41,11 +40,6 @@
 //!   sends GIVEUP and the stream turns into [`SimError::PeerTimeout`] on
 //!   both sides — a permanent partition degrades into an error, not a
 //!   hang.
-//!
-//! Streams whose id carries the one-sided sink bits (see
-//! [`crate::onesided`]) deliver into exposed windows at intake instead of
-//! queueing for a matching `reliable_recv` — that is the put/get data
-//! plane.
 //!
 //! Two modeling choices keep virtual time a function of the protocol
 //! alone, not of when a rank happens to drain its mailbox:
@@ -603,8 +597,9 @@ pub fn reliable_recv(ep: &mut Endpoint, from: Rank, st: StreamTag) -> Result<Vec
 /// the wire.  Reliable DATA frames are verified, deduped, reordered, and
 /// acked *at drain time* — even while the draining rank is blocked on an
 /// unrelated receive — which is what lets symmetric exchanges make
-/// progress.  Returns the message if it should be stashed for a later raw
-/// receive.
+/// progress.  Heartbeats ([`Tag::CLASS_HEARTBEAT`]) update the sender's
+/// known incarnation.  Returns the message if it should be stashed for a
+/// later raw receive.
 pub(crate) fn intake(ep: &mut Endpoint, msg: Message) -> Option<Message> {
     if msg.tag.ctx() < Tag::FIRST_USER_CTX {
         return Some(msg);
@@ -615,8 +610,12 @@ pub(crate) fn intake(ep: &mut Endpoint, msg: Message) -> Option<Message> {
             intake_ctrl(ep, msg);
             None
         }
-        Tag::CLASS_ONESIDED_CTRL => {
-            crate::onesided::intake_ctrl(ep, msg);
+        Tag::CLASS_HEARTBEAT => {
+            if let Body::Data(b) = &msg.body {
+                if let Some(inc) = crate::recovery::decode_beat(b) {
+                    ep.note_peer_incarnation(msg.src, inc);
+                }
+            }
             None
         }
         _ => Some(msg),
@@ -625,45 +624,19 @@ pub(crate) fn intake(ep: &mut Endpoint, msg: Message) -> Option<Message> {
 
 /// NIC-plane turnaround: a protocol response to a frame that arrived at
 /// `arrival` leaves the NIC one send overhead later.
-pub(crate) fn turnaround(ep: &Endpoint, arrival: f64) -> f64 {
+fn turnaround(ep: &Endpoint, arrival: f64) -> f64 {
     arrival + ep.model.send_overhead
 }
 
 /// Append one validated in-order frame to its stream: single-frame
 /// messages become zero-copy [`ReadyFrame::Whole`] entries, chunked
-/// messages accumulate until their `FLAG_LAST` frame.  Frames on one-sided
-/// sink streams complete into `completions` (applied by the caller once
-/// the stream borrow ends) instead of the ready queue.
-fn deliver_frame(
-    st: &mut RecvStream,
-    msg: Message,
-    sink: bool,
-    completions: &mut Vec<(Tag, Vec<u8>, f64)>,
-) {
+/// messages accumulate until their `FLAG_LAST` frame.
+fn deliver_frame(st: &mut RecvStream, msg: Message) {
     let Body::Data(frame) = &msg.body else {
         unreachable!("only validated data frames are delivered");
     };
     let last = frame_flags(frame) & FLAG_LAST != 0;
-    if sink {
-        let arrival = msg.arrival;
-        let tag = msg.tag;
-        let Body::Data(mut frame) = msg.body else {
-            unreachable!();
-        };
-        if last && st.assembly_chunks.is_empty() {
-            frame.truncate(frame.len() - TRAILER_LEN);
-            completions.push((tag, frame, arrival));
-        } else {
-            st.assembly_chunks.push((arrival, frame.len()));
-            st.assembly
-                .extend_from_slice(&frame[..frame.len() - TRAILER_LEN]);
-            if last {
-                let payload = std::mem::take(&mut st.assembly);
-                st.assembly_chunks.clear();
-                completions.push((tag, payload, arrival));
-            }
-        }
-    } else if last && st.assembly_chunks.is_empty() {
+    if last && st.assembly_chunks.is_empty() {
         st.ready.push_back(ReadyFrame::Whole(msg));
     } else {
         st.assembly_chunks.push((msg.arrival, frame.len()));
@@ -713,8 +686,6 @@ fn intake_data(ep: &mut Endpoint, msg: Message) -> Option<Message> {
         return None;
     }
     let seq = frame_seq(frame);
-    let sink = crate::onesided::is_sink_tag(msg.tag);
-    let mut completions: Vec<(Tag, Vec<u8>, f64)> = Vec::new();
     /// What the intake decided to answer with, sent once the stream
     /// borrow has ended.
     enum Answer {
@@ -754,10 +725,10 @@ fn intake_data(ep: &mut Endpoint, msg: Message) -> Option<Message> {
                 answer = Answer::Silent;
             }
         } else {
-            deliver_frame(stream, msg, sink, &mut completions);
+            deliver_frame(stream, msg);
             stream.expected += 1;
             while let Some(m) = stream.reorder.remove(&stream.expected) {
-                deliver_frame(stream, m, sink, &mut completions);
+                deliver_frame(stream, m);
                 stream.expected += 1;
             }
             stream.gap_nacked = None;
@@ -779,9 +750,6 @@ fn intake_data(ep: &mut Endpoint, msg: Message) -> Option<Message> {
             ep.nic_send(src, ctrl, ctrl_frame(K_NACK, gap), at);
         }
         Answer::Silent => {}
-    }
-    for (tag, payload, arrival) in completions {
-        crate::onesided::apply_put(ep, src, tag, payload, arrival);
     }
     None
 }

@@ -16,15 +16,12 @@
 //! | `0x4` | [`Tag::CLASS_MOVE_RAW`] | raw data-move halves (`meta_chaos::datamove`) |
 //! | `0x5` | [`Tag::CLASS_RELIABLE_DATA`] | reliable-transport DATA frames (`reliable`) |
 //! | `0x6` | [`Tag::CLASS_RELIABLE_CTRL`] | reliable ACK / NACK / GIVEUP frames     |
-//! | `0x7` | [`Tag::CLASS_ONESIDED_CTRL`] | one-sided GET request/reply RPC (`onesided`) |
+//! | `0x7` | [`Tag::CLASS_HEARTBEAT`] | failure-detector heartbeats (`recovery`) |
 //!
 //! Classes `0x5`–`0x7` are intercepted by the protocol intake in user
 //! contexts and never reach a raw `recv`; fault plans target classes via
 //! [`crate::fault::FaultPlan::classes`] (the default mask covers `0x5` and
-//! `0x6`; `0x7` is control-plane and excluded by default).  One-sided PUT
-//! payloads do not get their own class: they ride reliable `0x5` streams
-//! whose *stream id* carries the sink bits (see
-//! [`crate::onesided::is_sink_tag`]).
+//! `0x6`; `0x7` is control-plane and excluded by default).
 
 /// A message tag: `(context, user)`.
 ///
@@ -56,11 +53,11 @@ impl Tag {
     /// Tag class carrying reliable-transport control frames
     /// (ACK / NACK / GIVEUP).  Reserved like [`Tag::CLASS_RELIABLE_DATA`].
     pub const CLASS_RELIABLE_CTRL: u32 = 0x6;
-    /// Tag class carrying one-sided control traffic (GET request/reply —
-    /// see [`crate::onesided`]).  Reserved like
-    /// [`Tag::CLASS_RELIABLE_DATA`]; excluded from the default fault mask
-    /// because it is pure control plane.
-    pub const CLASS_ONESIDED_CTRL: u32 = 0x7;
+    /// Tag class carrying failure-detector heartbeats (see
+    /// [`crate::recovery`]).  Reserved like [`Tag::CLASS_RELIABLE_DATA`];
+    /// excluded from the default fault mask and never corrupted, because
+    /// it is pure control plane.
+    pub const CLASS_HEARTBEAT: u32 = 0x7;
 
     /// Build a tag from a context and a user tag value.
     #[inline]
@@ -133,7 +130,7 @@ mod tests {
         assert_eq!(Tag::new(17, 0x4000_0001).class(), Tag::CLASS_MOVE_RAW);
         assert_eq!(Tag::new(17, 0x5fff_ffff).class(), Tag::CLASS_RELIABLE_DATA);
         assert_eq!(Tag::new(17, 0x6000_0000).class(), Tag::CLASS_RELIABLE_CTRL);
-        assert_eq!(Tag::new(17, 0x7000_0001).class(), Tag::CLASS_ONESIDED_CTRL);
+        assert_eq!(Tag::new(17, 0x7000_0001).class(), Tag::CLASS_HEARTBEAT);
         assert_eq!(Tag::user(7).class(), 0);
     }
 }

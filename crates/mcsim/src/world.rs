@@ -25,7 +25,8 @@ use crate::trace::TraceEvent;
 /// it so harnesses can record the configuration they measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Runner {
-    /// Cooperative scheduling of green tasks on `workers` OS threads.
+    /// Cooperative scheduling of green tasks on the caller's thread;
+    /// `workers` is always 1.
     Coop { workers: usize },
 }
 
@@ -172,13 +173,11 @@ impl World {
         Runner::Coop { workers: 1 }
     }
 
-    /// Override the recovery configuration: the one-sided get retry
-    /// policy, and (when `heartbeats` is set) the lease-based failure
-    /// detector every endpoint runs.  The default keeps heartbeats off
-    /// and the historical get policy, so behavior is unchanged unless a
-    /// caller opts in.
+    /// Override the recovery configuration: when `heartbeats` is set,
+    /// the lease-based failure detector every endpoint runs.  The default
+    /// keeps heartbeats off, so behavior is unchanged unless a caller
+    /// opts in.
     pub fn with_recovery_config(mut self, cfg: RecoveryConfig) -> Self {
-        assert!(cfg.get_attempts > 0, "get retry budget must be positive");
         assert!(cfg.lease_misses > 0, "lease budget must be positive");
         self.recovery = cfg;
         self
@@ -205,10 +204,9 @@ impl World {
     /// Arm a virtual-clock deadline (seconds) for the whole run: any rank
     /// whose clock passes it — or that blocks in a receive with nothing
     /// arriving while it is armed — fails with
-    /// [`SimError::DeadlineExceeded`](crate::SimError::DeadlineExceeded)
-    /// instead of hanging.  This is the fuzz harness's no-hang oracle;
-    /// production-style runs leave it off and rely on the reliable
-    /// layer's retry budget.
+    /// [`SimError::DeadlineExceeded`] instead of hanging.  This is the
+    /// fuzz harness's no-hang oracle; production-style runs leave it off
+    /// and rely on the reliable layer's retry budget.
     pub fn with_deadline(mut self, secs: f64) -> Self {
         assert!(secs > 0.0, "deadline must be positive");
         self.deadline = Some(secs);

@@ -181,7 +181,7 @@ where
 }
 
 /// `Some((object, schedule))` when the epochs disagree.
-fn stale_pair(object: u64, schedule: u64) -> Option<(u64, u64)> {
+pub(crate) fn stale_pair(object: u64, schedule: u64) -> Option<(u64, u64)> {
     (object != schedule).then_some((object, schedule))
 }
 
@@ -203,34 +203,7 @@ where
     T: Copy + Wire,
     S: McObject<T>,
 {
-    send_side_guards(sched)?;
-    if sched.sends.is_empty() {
-        return Ok(());
-    }
-    let te = next_xfer_epoch(ep, sched);
-    let span = ep.span_begin(Phase::Transfer, || {
-        format!(
-            "mode=send seq={} te={} pairs={} elems={} src_epoch={}",
-            sched.seq(),
-            te,
-            sched.sends.len(),
-            sched.total_elems,
-            sched.src_epoch()
-        )
-    });
-    let r = settle(
-        ep,
-        sched,
-        &sched.sends,
-        te,
-        stale_pair(src.epoch(), sched.src_epoch()),
-    )
-    .and_then(|_| send_data_frames(ep, sched, src, te));
-    if let Err(e) = &r {
-        obs::record_abort(ep, e);
-    }
-    ep.span_end(span);
-    r
+    send_transaction(ep, sched, src, true)
 }
 
 /// Destination-program half of a two-program transfer.  Misuse reporting
@@ -285,22 +258,60 @@ where
     T: Copy + Wire,
     S: McObject<T>,
 {
+    send_transaction(ep, sched, src, false)
+}
+
+/// The send side of a transaction: guards, a fresh transfer epoch, and
+/// [`settle`], then (with `send_data`) the data frames inside a
+/// `Transfer` span.  Any error is recorded as an abort.
+fn send_transaction<T, S>(
+    ep: &mut Endpoint,
+    sched: &Schedule,
+    src: &S,
+    send_data: bool,
+) -> Result<(), McError>
+where
+    T: Copy + Wire,
+    S: McObject<T>,
+{
     send_side_guards(sched)?;
     if sched.sends.is_empty() {
         return Ok(());
     }
     let te = next_xfer_epoch(ep, sched);
+    let span = send_data.then(|| {
+        ep.span_begin(Phase::Transfer, || {
+            format!(
+                "mode=send seq={} te={} pairs={} elems={} src_epoch={}",
+                sched.seq(),
+                te,
+                sched.sends.len(),
+                sched.total_elems,
+                sched.src_epoch()
+            )
+        })
+    });
     let r = settle(
         ep,
         sched,
         &sched.sends,
         te,
         stale_pair(src.epoch(), sched.src_epoch()),
-    );
+    )
+    .and_then(|_| {
+        if send_data {
+            send_data_frames(ep, sched, src, te)
+        } else {
+            Ok(())
+        }
+    });
     if let Err(e) = &r {
         obs::record_abort(ep, e);
     }
-    r.map(|_| ())
+    if let Some(span) = span {
+        ep.span_end(span);
+    }
+    r
 }
 
 /// Ablation baseline for the session layer: the bare reliable send half of
@@ -715,12 +726,8 @@ fn part_elems(ep: &Endpoint, elem_size: usize) -> usize {
     (budget / elem_size.max(1)).max(1)
 }
 
-/// Pack and post each pair's half as a stream of parts — every part one
-/// reliable frame carrying `[transfer epoch][last flag][element count]`
-/// plus that slice of the packed payload — then wait for every
-/// acknowledgement.  Posting a part admits it into the sliding window and
-/// returns, so packing the next part overlaps the previous part's wire
-/// time.
+/// Pack and post each pair's half (see [`post_half`]), then wait for
+/// every acknowledgement.
 fn send_data_frames<T, S>(
     ep: &mut Endpoint,
     sched: &Schedule,
@@ -733,33 +740,8 @@ where
 {
     let st = move_stream(sched);
     let group = sched.group();
-    let per_part = part_elems(ep, sched.elem_size() as usize);
     for (peer, runs) in &sched.sends {
-        let pg = group.global(*peer);
-        let total = runs.len();
-        let pack = ep.span_begin(Phase::Pack, || {
-            format!(
-                "peer={pg} runs={total} te={te} parts={}",
-                total.div_ceil(per_part)
-            )
-        });
-        let mut cursor = 0usize;
-        while cursor < total {
-            let cnt = per_part.min(total - cursor);
-            let last = cursor + cnt == total;
-            let mut buf = ep.take_buf();
-            te.write(&mut buf);
-            u8::from(last).write(&mut buf);
-            cnt.write(&mut buf);
-            let part = runs.slice_elems(cursor, cnt);
-            src.pack_runs_wire(ep, &part, &mut buf);
-            cursor += cnt;
-            if let Err(e) = reliable::reliable_send(ep, pg, st, buf) {
-                ep.span_end(pack);
-                return Err(e.into());
-            }
-        }
-        ep.span_end(pack);
+        post_half(ep, sched, src, te, group.global(*peer), runs)?;
     }
     let wire = ep.span_begin(Phase::Wire, || {
         format!("pairs={} te={te}", sched.sends.len())
@@ -810,30 +792,18 @@ where
     let staged = stage_halves(ep, sched, expected)?;
     // Commit: every half arrived and verified.  Staging holds the received
     // wire buffers themselves, so this is the same single unpack as the
-    // streaming path — deferred, not duplicated.  Each part unpacks into
-    // its slice of the pair's destination runs.
+    // streaming path — deferred, not duplicated.
     let commit = ep.span_begin(Phase::Commit, || {
         format!("seq={} pairs={}", sched.seq(), sched.recvs.len())
     });
-    let mut committed = Ok(());
-    'commit: for ((peer, runs), parts) in sched.recvs.iter().zip(staged) {
-        let mut cursor = 0usize;
-        for bytes in parts {
-            let mut r = WireReader::new(&bytes);
-            let _ = u64::read(&mut r);
-            let _ = u8::read(&mut r);
-            let count = usize::read(&mut r).unwrap_or(0);
-            let slice = runs.slice_elems(cursor, count);
-            if let Err(e) = dst.unpack_runs_wire(ep, &slice, &mut r) {
-                committed = Err(McError::Transport(format!(
-                    "frame from peer {peer} failed to decode: {e}"
-                )));
-                break 'commit;
-            }
-            cursor += count;
-            ep.recycle_buf(bytes);
-        }
-    }
+    let group = sched.group();
+    let committed = sched
+        .recvs
+        .iter()
+        .zip(staged)
+        .try_for_each(|((peer, runs), parts)| {
+            commit_one_half(ep, dst, group.global(*peer), runs, parts)
+        });
     ep.span_end(commit);
     if committed.is_ok() {
         ep.record_transfer_committed();
@@ -841,60 +811,8 @@ where
     committed
 }
 
-/// Absorb-mode receive, for a destination that already committed this
-/// step in a previous life: participate in the transaction exactly like
-/// [`data_move_recv`] — settle the manifest, stage and verify every
-/// peer's half — but discard the staged parts instead of committing them,
-/// so the replaying sender unblocks and exactly-once delivery holds.
-#[doc(hidden)]
-pub fn data_move_recv_absorb<T, D>(
-    ep: &mut Endpoint,
-    sched: &Schedule,
-    dst: &D,
-) -> Result<(), McError>
-where
-    T: Copy + Wire,
-    D: McObject<T>,
-{
-    recv_side_guards(sched)?;
-    if sched.recvs.is_empty() {
-        return Ok(());
-    }
-    let span = ep.span_begin(Phase::Transfer, || {
-        format!(
-            "mode=absorb seq={} pairs={} elems={}",
-            sched.seq(),
-            sched.recvs.len(),
-            sched.total_elems
-        )
-    });
-    let r = settle(
-        ep,
-        sched,
-        &sched.recvs,
-        0,
-        stale_pair(dst.epoch(), sched.dst_epoch()),
-    )
-    .and_then(|expected| {
-        let staged = stage_halves(ep, sched, &expected)?;
-        let group = sched.group();
-        for ((peer, _), parts) in sched.recvs.iter().zip(staged) {
-            ep.record_parts_replayed(group.global(*peer), parts.len());
-            for b in parts {
-                ep.recycle_buf(b);
-            }
-        }
-        Ok(())
-    });
-    if let Err(e) = &r {
-        obs::record_abort(ep, e);
-    }
-    ep.span_end(span);
-    r
-}
-
-/// The staging phase shared by commit and absorb: collect every peer's
-/// data half and verify headers, epochs, and payload sizes.  A failure
+/// The staging phase of [`recv_data_frames`]: collect every peer's data
+/// half and verify headers, epochs, and payload sizes.  A failure
 /// anywhere recycles everything staged and aborts the transfer, leaving
 /// the destination bit-identical.
 fn stage_halves(
@@ -1045,6 +963,30 @@ where
     T: Copy + Wire,
     S: McObject<T>,
 {
+    post_half(ep, sched, src, te, pg, runs)?;
+    let wire = ep.span_begin(Phase::Wire, || format!("peer={pg} te={te}"));
+    let r = reliable::flush_send(ep, pg, move_stream(sched)).map_err(McError::from);
+    ep.span_end(wire);
+    r
+}
+
+/// Pack and post one pair's half as a stream of parts — every part one
+/// reliable frame carrying `[transfer epoch][last flag][element count]`
+/// plus that slice of the packed payload.  Posting a part admits it into
+/// the sliding window and returns, so packing the next part overlaps the
+/// previous part's wire time.
+fn post_half<T, S>(
+    ep: &mut Endpoint,
+    sched: &Schedule,
+    src: &S,
+    te: u64,
+    pg: usize,
+    runs: &AddrRuns,
+) -> Result<(), McError>
+where
+    T: Copy + Wire,
+    S: McObject<T>,
+{
     let st = move_stream(sched);
     let per_part = part_elems(ep, sched.elem_size() as usize);
     let total = runs.len();
@@ -1071,14 +1013,13 @@ where
         }
     }
     ep.span_end(pack);
-    let wire = ep.span_begin(Phase::Wire, || format!("peer={pg} te={te}"));
-    let r = reliable::flush_send(ep, pg, st).map_err(McError::from);
-    ep.span_end(wire);
-    r
+    Ok(())
 }
 
-/// Unpack ONE staged half into `dst` (per-pair counterpart of the commit
-/// loop in [`recv_data_frames`]).  Consumes and recycles the parts.
+/// Unpack ONE staged half into `dst`: the commit step of
+/// [`recv_data_frames`] and of the recovery session.  Each part unpacks
+/// into its slice of the pair's destination runs; the parts are consumed
+/// and recycled.
 pub(crate) fn commit_one_half<T, D>(
     ep: &mut Endpoint,
     dst: &mut D,

@@ -14,10 +14,10 @@
 //! run-based builders then do exactly the per-element work the old
 //! inspector did.
 //!
-//! Only **stride-1** runs map onto the executor's contiguous
-//! [`AddrRuns`](crate::schedule::AddrRuns) compression; other strides are
-//! expanded element-wise at emission ([`OwnedRun::emit_addrs`]), which
-//! keeps run-built schedules byte-identical to element-built ones.
+//! Only **stride-1** runs map onto the executor's contiguous [`AddrRuns`]
+//! compression; other strides are expanded element-wise at emission
+//! ([`OwnedRun::emit_addrs`]), which keeps run-built schedules
+//! byte-identical to element-built ones.
 
 use crate::schedule::AddrRuns;
 use crate::LocalAddr;

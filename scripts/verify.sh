@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full offline verification: build, test, lint.  No network access needed —
-# the workspace has zero crates.io dependencies.
+# Full offline verification: build, test, lint, rustdoc.  No network access
+# needed — the workspace has zero crates.io dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -8,6 +8,7 @@ cargo fmt --check
 cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The aarch64 task context switch is not compiled on an x86_64 host, so
 # assemble it on its own: a typo in it must fail here, not on the first
@@ -44,7 +45,7 @@ cargo run --release -p fuzz -- --matrix --iters 304 --seed 1 || {
 }
 
 # Wide soak: the same differential oracles, but over 8- and 16-rank worlds
-# so every scenario exercises the cooperative M:N scheduler with real rank
+# so every scenario exercises the cooperative scheduler with real rank
 # multiplexing (the narrow soak's 2–4-rank worlds park at most a handful of
 # green tasks at a time).
 echo "== fuzz soak (wide: 8/16-rank worlds) =="
@@ -134,7 +135,7 @@ awk -v s="$current_speedup" 'BEGIN {
   exit 1
 }
 
-# Scaling gate: a P=256 leg of the M:N-runner scaling curve (inspector
+# Scaling gate: a P=256 leg of the cooperative-runner scaling curve (inspector
 # build, coupled transfer settle, HPF redistribution) re-run fresh and
 # held against the committed BENCH_scaling.json.  The compared times are
 # *simulated* milliseconds — deterministic, so a clean tree reproduces

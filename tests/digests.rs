@@ -11,10 +11,9 @@
 //! The cases reach every way a parked rank can be resumed: message
 //! wakes (the P=64 reliable exchange, fault-free and under a `FaultPlan`,
 //! and the torus incast), settle-at-quiescence polls and recv timeouts
-//! that fire on silence, a deadline-armed world that wedges, one-sided
-//! get retries on a partitioned control plane, a supervised crash whose
-//! survivor evicts a silent peer by lease, the deadlock teardown, and
-//! every scenario of the fuzz regression corpus.
+//! that fire on silence, a deadline-armed world that wedges, a
+//! supervised crash whose survivor evicts a silent peer by lease, the
+//! deadlock teardown, and every scenario of the fuzz regression corpus.
 //!
 //! Floats inside traces and reports are rendered with `{:?}`, which
 //! prints the shortest decimal that round-trips to the same bits.  The
@@ -303,36 +302,6 @@ fn deadline_wedge() -> u64 {
     digest_report(&rep)
 }
 
-/// Fully partitioned one-sided control plane: `get` re-sends after every
-/// silence and gives up with a typed timeout; the put data plane lands.
-fn onesided_get_partitioned() -> u64 {
-    use mcsim::onesided::{expose, get, put_flush, put_notify, wait_notify, window_bytes};
-    let plan = FaultPlan::new(11)
-        .rates(FaultRates {
-            drop: 1.0,
-            ..FaultRates::default()
-        })
-        .classes(1 << Tag::CLASS_ONESIDED_CTRL);
-    let out = World::with_model(2, MachineModel::sp2())
-        .with_faults(plan)
-        .with_deadline(60.0)
-        .with_trace()
-        .run(|ep| {
-            let ctx = Tag::FIRST_USER_CTX;
-            if ep.rank() == 0 {
-                expose(ep, 7, vec![5u8; 32]);
-                wait_notify(ep, 7, 1).unwrap();
-                format!("{:?}", window_bytes(ep, 7))
-            } else {
-                let r = get(ep, 0, ctx, 7, 0, 8);
-                put_notify(ep, 0, ctx, 7, 4, &[9u8; 4]).unwrap();
-                put_flush(ep, 0, ctx, 7).unwrap();
-                format!("{r:?}")
-            }
-        });
-    digest_output(&out)
-}
-
 /// A supervised world with heartbeats: rank 1 crashes mid ping-pong with
 /// rank 2 and is restarted; rank 0 waits on a reliable stream rank 2
 /// never writes and evicts it once its lease lapses through repeated
@@ -433,10 +402,6 @@ fn compute() -> Vec<(String, u64)> {
     ));
     cases.push(("recv_timeout_silence".into(), recv_timeout_silence()));
     cases.push(("deadline_wedge".into(), deadline_wedge()));
-    cases.push((
-        "onesided_get_partitioned".into(),
-        onesided_get_partitioned(),
-    ));
     cases.push(("supervised_crash_lease".into(), supervised_crash_lease()));
     corpus_cases(&mut cases);
     cases

@@ -1014,155 +1014,3 @@ fn window_events_trace_with_count_parity() {
         "a universal 50 ms ack delay must expire several deadlines at once: {f:?}"
     );
 }
-
-/// Drop/dup/delay aimed squarely at the one-sided control class (0x7)
-/// — which the default mask deliberately excludes — via an explicit
-/// `classes` override: every `get` either completes or returns a typed
-/// error within its bounded retry budget, and the world's virtual-clock
-/// deadline turns any hang into a visible failure instead of a wedged
-/// test run.  Puts ride the (unfaulted here) reliable data plane and
-/// must stay exact throughout.  (Corruption is not in the mix: 0x7
-/// frames are unchecksummed, so the injector structurally refuses to
-/// corrupt them — see `FaultState::draw`.)
-#[test]
-fn onesided_ctrl_class_faults_complete_or_typed_error() {
-    use mcsim::onesided::{expose, get, put_flush, put_notify, wait_notify};
-    use mcsim::{SimError, Tag};
-
-    const WIN: u32 = 6;
-    const WLEN: usize = 256;
-    const GETS: usize = 6;
-    fn wbyte(i: usize) -> u8 {
-        (i * 11 % 251) as u8
-    }
-
-    let kinds: [(&str, FaultRates); 3] = [
-        (
-            "drop",
-            FaultRates {
-                drop: 0.30,
-                ..FaultRates::default()
-            },
-        ),
-        (
-            "dup",
-            FaultRates {
-                dup: 0.35,
-                ..FaultRates::default()
-            },
-        ),
-        (
-            "delay",
-            FaultRates {
-                delay: 0.35,
-                delay_secs: 0.02,
-                ..FaultRates::default()
-            },
-        ),
-    ];
-    for (name, rates) in kinds {
-        for seed in seeds() {
-            let label = format!("0x7 {name}/seed {seed}");
-            let inner = label.clone();
-            let plan = FaultPlan::new(seed)
-                .rates(rates)
-                .classes(1 << Tag::CLASS_ONESIDED_CTRL);
-            let out = World::with_model(2, MachineModel::sp2())
-                .with_faults(plan)
-                .with_deadline(60.0)
-                .run(move |ep| {
-                    let ctx = Tag::FIRST_USER_CTX;
-                    if ep.rank() == 0 {
-                        expose(ep, WIN, (0..WLEN).map(wbyte).collect());
-                        // Stay alive until the origin finishes: its final
-                        // notifying put rides the unfaulted reliable data
-                        // plane and sequences after every get attempt.
-                        wait_notify(ep, WIN, 1).unwrap();
-                        0usize
-                    } else {
-                        let mut completed = 0usize;
-                        for k in 0..GETS {
-                            let off = k * 24;
-                            match get(ep, 0, ctx, WIN, off, 16) {
-                                Ok(data) => {
-                                    // Re-sends reuse the request id, so a
-                                    // lost, duplicated, or late reply never
-                                    // changes the bytes delivered.
-                                    let want: Vec<u8> = (off..off + 16).map(wbyte).collect();
-                                    assert_eq!(data, want, "{inner}: get {k} bytes");
-                                    completed += 1;
-                                }
-                                Err(SimError::PeerTimeout { rank: 0 }) => {}
-                                Err(e) => panic!("{inner}: get {k}: unexpected error {e:?}"),
-                            }
-                        }
-                        put_notify(ep, 0, ctx, WIN, 0, &[1]).unwrap();
-                        put_flush(ep, 0, ctx, WIN).unwrap();
-                        completed
-                    }
-                });
-            // The injector really hit the control class...
-            let f = &out.stats.faults;
-            let injected = match name {
-                "drop" => f.drops_injected,
-                "dup" => f.dups_injected,
-                _ => f.delays_injected,
-            };
-            assert!(injected > 0, "{label}: no faults injected: {f:?}");
-            // ...and a bounded retry still lands most requests.
-            assert!(
-                out.results[1] >= 1,
-                "{label}: every get failed — retry is not doing its job"
-            );
-        }
-    }
-}
-
-/// A fully partitioned control plane (100% drop on class 0x7): `get`
-/// exhausts its retry budget and returns [`SimError::PeerTimeout`] —
-/// a typed value, not a hang — while `expose`, `put`, and `put_flush`
-/// on the untouched reliable classes complete exactly.
-#[test]
-fn onesided_partitioned_ctrl_plane_times_out_typed() {
-    use mcsim::onesided::{expose, get, put_flush, put_notify, wait_notify, window_bytes};
-    use mcsim::{SimError, Tag};
-
-    let plan = FaultPlan::new(mcsim::test_seed())
-        .rates(FaultRates {
-            drop: 1.0,
-            ..FaultRates::default()
-        })
-        .classes(1 << Tag::CLASS_ONESIDED_CTRL);
-    let out = World::with_model(2, MachineModel::sp2())
-        .with_faults(plan)
-        .with_deadline(60.0)
-        .run(move |ep| {
-            let ctx = Tag::FIRST_USER_CTX;
-            if ep.rank() == 0 {
-                expose(ep, 7, vec![5u8; 32]);
-                wait_notify(ep, 7, 1).unwrap();
-                (Ok(Vec::new()), window_bytes(ep, 7))
-            } else {
-                let r = get(ep, 0, ctx, 7, 0, 8);
-                // The put data plane (class 0x5) is untouched by the 0x7
-                // partition and must still deliver bit-exactly.
-                put_notify(ep, 0, ctx, 7, 4, &[9u8; 4]).unwrap();
-                put_flush(ep, 0, ctx, 7).unwrap();
-                (r, None)
-            }
-        });
-    match &out.results[1].0 {
-        Err(SimError::PeerTimeout { rank: 0 }) => {}
-        other => panic!("partitioned get must time out typed, got {other:?}"),
-    }
-    let win = out.results[0].1.as_ref().expect("window withdrawn");
-    assert_eq!(
-        &win[4..8],
-        &[9u8; 4],
-        "put must land despite the 0x7 partition"
-    );
-    assert!(
-        out.stats.faults.drops_injected > 0,
-        "the 0x7 partition must actually drop control frames"
-    );
-}
