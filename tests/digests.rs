@@ -14,6 +14,10 @@
 //! that fire on silence, a deadline-armed world that wedges, a
 //! supervised crash whose survivor evicts a silent peer by lease, the
 //! deadlock teardown, and every scenario of the fuzz regression corpus.
+//! Two cases hand-forge data parts on a move stream so that every
+//! receive-side drop branch is pinned: a transaction dropping a replayed
+//! half, and a session restarting collection on an attempt-epoch jump
+//! and dropping an older attempt's part mid-half.
 //!
 //! Floats inside traces and reports are rendered with `{:?}`, which
 //! prints the shortest decimal that round-trips to the same bits.  The
@@ -28,9 +32,10 @@ use std::path::PathBuf;
 use mcsim::fault::{test_seeds, FaultPlan, FaultRates};
 use mcsim::model::{MachineModel, Topology};
 use mcsim::prelude::Endpoint;
-use mcsim::reliable::{reliable_recv, reliable_send, StreamTag};
+use mcsim::reliable::{flush_send, reliable_recv, reliable_send, StreamTag};
 use mcsim::stats::NetStats;
 use mcsim::trace::TraceEvent;
+use mcsim::wire::{Wire, WireReader};
 use mcsim::world::World;
 use mcsim::{SimError, Tag};
 
@@ -39,7 +44,7 @@ use meta_chaos::build::{compute_schedule, BuildMethod};
 use meta_chaos::coupling::Coupler;
 use meta_chaos::region::RegularSection;
 use meta_chaos::setof::SetOfRegions;
-use meta_chaos::Side;
+use meta_chaos::{data_move_recv, data_move_send, RecoverySession, Schedule, Side};
 use multiblock::MultiblockArray;
 
 /// Streaming FNV-1a-64 over everything written into it.
@@ -351,6 +356,146 @@ fn supervised_crash_lease() -> u64 {
     digest_report(&rep)
 }
 
+/// A 1 → 1 Multiblock → HPF coupling over the whole `0..n` index space:
+/// rank 0 owns the source, rank 1 the destination, and the single pair's
+/// half is the source in index order.  Returns the schedule and this
+/// rank's object.
+fn one_pair_coupling(
+    ep: &mut Endpoint,
+    n: usize,
+) -> (Schedule, Result<MultiblockArray<f64>, HpfArray<f64>>) {
+    let (pa, pb, un) = mcsim::group::Group::split_two(1, 1, 32);
+    let set: SetOfRegions<RegularSection> = SetOfRegions::single(RegularSection::whole(&[n]));
+    if pa.contains(ep.rank()) {
+        let v = MultiblockArray::<f64>::new(&pa, ep.rank(), &[n]);
+        let sched = compute_schedule::<f64, MultiblockArray<f64>, HpfArray<f64>>(
+            ep,
+            &un,
+            &pa,
+            Some(Side::new(&v, &set)),
+            &pb,
+            None,
+            BuildMethod::Cooperation,
+        )
+        .expect("schedule");
+        (sched, Ok(v))
+    } else {
+        let h = HpfArray::<f64>::new(&pb, ep.rank(), HpfDist::block_1d(n, 1));
+        let sched = compute_schedule::<f64, MultiblockArray<f64>, HpfArray<f64>>(
+            ep,
+            &un,
+            &pa,
+            None,
+            &pb,
+            Some(Side::new(&h, &set)),
+            BuildMethod::Cooperation,
+        )
+        .expect("schedule");
+        (sched, Err(h))
+    }
+}
+
+/// Post one data part on the schedule's move stream by hand:
+/// `[transfer epoch][last][count]` and `count` elements `f(x)` starting
+/// at index `from`.  Stands in for a half left on the wire by an attempt
+/// the executor has abandoned.
+fn forge_part(
+    ep: &mut Endpoint,
+    sched: &Schedule,
+    te: u64,
+    last: bool,
+    from: usize,
+    count: usize,
+    f: impl Fn(usize) -> f64,
+) {
+    let st = StreamTag::new(sched.group().context(), sched.seq());
+    let mut buf = Vec::new();
+    te.write(&mut buf);
+    u8::from(last).write(&mut buf);
+    count.write(&mut buf);
+    for x in from..from + count {
+        f(x).write(&mut buf);
+    }
+    reliable_send(ep, 1, st, buf).unwrap();
+    flush_send(ep, 1, st).unwrap();
+}
+
+/// A transactional retry that meets a replayed half: after one committed
+/// transfer (transfer epoch 1), a two-part copy of that half reappears
+/// on the move stream ahead of the next transfer (epoch 2).  The
+/// receiver drops the whole replay, counted once, and commits only the
+/// fresh data.
+fn txn_replayed_half() -> u64 {
+    const N: usize = 64;
+    let world = World::with_model(2, MachineModel::sp2()).with_trace();
+    let out = world.run(|ep| match one_pair_coupling(ep, N) {
+        (sched, Ok(mut v)) => {
+            v.fill_with(|c| (c[0] * 3 + 1) as f64);
+            data_move_send(ep, &sched, &v).unwrap();
+            forge_part(ep, &sched, 1, false, 0, 1, |x| (x * 3 + 1) as f64);
+            forge_part(ep, &sched, 1, true, 1, N - 1, |x| (x * 3 + 1) as f64);
+            v.fill_with(|c| (c[0] * 5 + 2) as f64);
+            data_move_send(ep, &sched, &v).unwrap();
+            Vec::new()
+        }
+        (sched, Err(mut h)) => {
+            data_move_recv(ep, &sched, &mut h).unwrap();
+            data_move_recv(ep, &sched, &mut h).unwrap();
+            (0..N).map(|x| h.get(&[x]).to_bits()).collect::<Vec<u64>>()
+        }
+    });
+    for (x, &b) in out.results[1].iter().enumerate() {
+        assert_eq!(f64::from_bits(b), (x * 5 + 2) as f64, "h[{x}]");
+    }
+    assert_eq!(out.stats.session.stale_halves_dropped, 1);
+    digest_output(&out)
+}
+
+/// A recovery session whose step 1 arrives interleaved with abandoned
+/// attempts: a partial half of attempt 1, then attempt 3's first part
+/// (collection restarts), then a part of attempt 2 in the middle of
+/// attempt 3's half (dropped as stale), then the rest of attempt 3.
+/// Steps 0 and 2 run through the session's own sender.
+fn session_abandoned_attempts() -> u64 {
+    const N: usize = 64;
+    let value = |k: u64, x: usize| ((k + 1) * 1000 + 3 * x as u64 + 1) as f64;
+    let world = World::with_model(2, MachineModel::sp2()).with_trace();
+    let out = world.run(move |ep| {
+        let mut ses = RecoverySession::new("pin");
+        match one_pair_coupling(ep, N) {
+            (sched, Ok(mut v)) => {
+                v.fill_with(|c| value(0, c[0]));
+                ses.send_step(ep, &sched, &v, 0).unwrap();
+                let step1 = |a: u64| (2 << 32) | a;
+                forge_part(ep, &sched, step1(1), false, 0, 1, |x| value(1, x));
+                forge_part(ep, &sched, step1(3), false, 0, 1, |x| value(1, x));
+                forge_part(ep, &sched, step1(2), true, 1, N - 1, |x| value(1, x));
+                forge_part(ep, &sched, step1(3), true, 1, N - 1, |x| value(1, x));
+                let st = StreamTag::new(sched.group().context(), sched.seq());
+                let pos = reliable_recv(ep, 1, st).unwrap();
+                let mut r = WireReader::new(&pos);
+                let pos = vec![u64::read(&mut r).unwrap(), u64::read(&mut r).unwrap()];
+                assert_eq!(pos, [1, 2], "step 1 answered with POS 2");
+                v.fill_with(|c| value(2, c[0]));
+                ses.send_step(ep, &sched, &v, 2).unwrap();
+                ses.finish(ep, &sched, 3).unwrap();
+                pos
+            }
+            (sched, Err(mut h)) => {
+                for k in 0..3 {
+                    ses.recv_step(ep, &sched, &mut h, k).unwrap();
+                    assert_eq!(h.get(&[N - 1]), value(k, N - 1), "step {k}");
+                }
+                ses.finish(ep, &sched, 3).unwrap();
+                (0..N).map(|x| h.get(&[x]).to_bits()).collect()
+            }
+        }
+    });
+    assert_eq!(out.stats.session.stale_halves_dropped, 1);
+    assert_eq!(out.stats.session.transfers_committed, 3);
+    digest_output(&out)
+}
+
 /// Every corpus scenario, through the same runs the fuzz oracle makes.
 fn corpus_cases(cases: &mut Vec<(String, u64)>) {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
@@ -403,6 +548,11 @@ fn compute() -> Vec<(String, u64)> {
     cases.push(("recv_timeout_silence".into(), recv_timeout_silence()));
     cases.push(("deadline_wedge".into(), deadline_wedge()));
     cases.push(("supervised_crash_lease".into(), supervised_crash_lease()));
+    cases.push(("txn_replayed_half".into(), txn_replayed_half()));
+    cases.push((
+        "session_abandoned_attempts".into(),
+        session_abandoned_attempts(),
+    ));
     corpus_cases(&mut cases);
     cases
 }
