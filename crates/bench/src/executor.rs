@@ -12,7 +12,7 @@
 //! Every leg goes through one shared harness (`timed_leg`): all paths
 //! are warmed before anything is timed, and every repetition is bracketed
 //! by a clock barrier so no leg can pipeline across repetitions while
-//! another is measured round-trip.  Overheads reported against `fast_ns`
+//! another is measured round-trip.  Ratios reported against `fast_ns`
 //! therefore share one denominator — the earlier harness let the reliable
 //! leg stream ahead of the barrier and "cost" −67% of the fast path.
 
@@ -26,10 +26,7 @@ use mcsim::world::World;
 use mcsim::{pair_spans, Phase, RecoveryConfig, RunReport};
 
 use meta_chaos::build::{compute_schedule, compute_schedule_reference, BuildMethod};
-use meta_chaos::datamove::{
-    data_move, data_move_elementwise, data_move_recv, data_move_recv_unverified, data_move_send,
-    data_move_send_unverified,
-};
+use meta_chaos::datamove::{data_move, data_move_elementwise, data_move_recv, data_move_send};
 use meta_chaos::region::{IndexSet, RegularSection};
 use meta_chaos::setof::SetOfRegions;
 use meta_chaos::{McObject, RecoverySession, Side};
@@ -89,15 +86,6 @@ pub struct PhaseNanos {
     /// Wall ns to unpack one move's receive runs from wire bytes (last
     /// rank).
     pub unpack_ns: f64,
-    /// Residual of the fast-path move after pack and unpack: wire
-    /// encode/decode, channel transfer and synchronization.  Derived
-    /// (`fast_ns - pack_ns - unpack_ns`, floored at zero), not measured.
-    pub wire_ns: f64,
-    /// Extra wall ns per move for the transactional session layer
-    /// (manifests, verdicts, staged delivery): `reliable_ns -
-    /// reliable_raw_ns`.  Only measured where the reliable legs run
-    /// (`procs == 2`).
-    pub session_overhead_ns: Option<f64>,
 }
 
 /// Inspector build time for one source→destination library pair, both
@@ -155,14 +143,9 @@ pub struct ExecutorMicro {
     /// staged all-or-nothing delivery); measured only at `procs == 2`,
     /// where the shift makes rank 0 pure-send and rank 1 pure-recv.
     pub reliable_ns: Option<f64>,
-    /// Wall nanoseconds per *unverified* reliable move — the bare link
-    /// layer without manifests or staging (the pre-transactional
-    /// behaviour), isolating the session layer's fault-free overhead.
-    pub reliable_raw_ns: Option<f64>,
     /// Total `(start, len)` runs in rank 0's schedule (compression check).
     pub sched_runs: usize,
-    /// Per-phase wall-clock breakdown (inspector builds, pack, wire,
-    /// unpack, session overhead).
+    /// Per-phase wall-clock breakdown (inspector builds, pack, unpack).
     pub phases: PhaseNanos,
     /// Inspector build time per library pair (all 4×4 combinations),
     /// both build methods, on a small whole-object copy.
@@ -202,21 +185,6 @@ impl ExecutorMicro {
     pub fn reliable_mbps(&self) -> Option<f64> {
         self.reliable_ns.map(|ns| self.mbps(ns))
     }
-
-    /// Fault-free overhead of the transactional session layer (manifest
-    /// exchange, verdict round, staged delivery) over the bare reliable
-    /// link layer, in percent.  Both legs drive the identical split
-    /// pipeline through the same barriered harness, so numerator and
-    /// denominator share transport machinery and measurement shape.  The
-    /// earlier definition divided the reliable leg by `fast_ns` — a
-    /// different transport (the pooled coupling link vs the simulator
-    /// channel `data_move`) — and reported a meaningless −67%.
-    pub fn reliable_overhead_pct(&self) -> Option<f64> {
-        match (self.reliable_ns, self.reliable_raw_ns) {
-            (Some(txn), Some(raw)) => Some((txn / raw - 1.0) * 100.0),
-            _ => None,
-        }
-    }
 }
 
 /// Per-rank raw measurements from the main benchmark world.
@@ -225,7 +193,6 @@ struct RankLegs {
     fast_ns: f64,
     elementwise_ns: f64,
     reliable_ns: Option<f64>,
-    reliable_raw_ns: Option<f64>,
     sched_runs: usize,
     inspector_build_ns: f64,
     inspector_build_dup_ns: f64,
@@ -269,10 +236,8 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
         if procs == 2 {
             if ep.rank() == 0 {
                 data_move_send(ep, &sched, &src).expect("warm reliable send");
-                data_move_send_unverified(ep, &sched, &src).expect("warm raw send");
             } else {
                 data_move_recv(ep, &sched, &mut dst).expect("warm reliable recv");
-                data_move_recv_unverified(ep, &sched, &mut dst).expect("warm raw recv");
             }
         }
 
@@ -294,19 +259,6 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
                     data_move_send(ep, &sched, &src).expect("reliable send");
                 } else {
                     data_move_recv(ep, &sched, &mut dst).expect("reliable recv");
-                }
-            })
-        });
-
-        // Ablation: the same payload through the bare link layer (no
-        // manifests, no verdicts, no staging) prices the transactional
-        // session layer's fault-free overhead.
-        let reliable_raw_ns = (procs == 2).then(|| {
-            timed_leg(ep, &g, BATCHES, reps, |ep| {
-                if ep.rank() == 0 {
-                    data_move_send_unverified(ep, &sched, &src).expect("raw send");
-                } else {
-                    data_move_recv_unverified(ep, &sched, &mut dst).expect("raw recv");
                 }
             })
         });
@@ -383,7 +335,6 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
             fast_ns,
             elementwise_ns,
             reliable_ns,
-            reliable_raw_ns,
             sched_runs: sched.num_runs(),
             inspector_build_ns,
             inspector_build_dup_ns,
@@ -400,11 +351,6 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
         inspector_build_elementwise_ns: r0.inspector_build_elementwise_ns,
         pack_ns: r0.pack_ns,
         unpack_ns,
-        wire_ns: (r0.fast_ns - r0.pack_ns - unpack_ns).max(0.0),
-        session_overhead_ns: match (r0.reliable_ns, r0.reliable_raw_ns) {
-            (Some(txn), Some(raw)) => Some((txn - raw).max(0.0)),
-            _ => None,
-        },
     };
     ExecutorMicro {
         elements,
@@ -413,7 +359,6 @@ pub fn executor_micro(elements: usize, procs: usize, reps: usize) -> ExecutorMic
         fast_ns: r0.fast_ns,
         elementwise_ns: r0.elementwise_ns,
         reliable_ns: r0.reliable_ns,
-        reliable_raw_ns: r0.reliable_raw_ns,
         sched_runs: r0.sched_runs,
         phases,
         pairs: inspector_pairs_micro(PAIR_ELEMS, procs, reps.min(2)),
@@ -842,13 +787,7 @@ mod tests {
         let rel = r.reliable_ns.expect("reliable leg at procs == 2");
         assert!(rel > 0.0);
         assert!(r.reliable_mbps().unwrap() > 0.0);
-        // The ablation leg prices the session layer against the bare link
-        // (no threshold here — that belongs to the bench gate).
-        let raw = r.reliable_raw_ns.expect("raw leg at procs == 2");
-        assert!(raw > 0.0);
-        assert!(r.reliable_overhead_pct().is_some());
-        // Phase breakdown: every measured stage is positive and the wire
-        // residual stays within the whole move.
+        // Phase breakdown: every measured stage is positive.
         let ph = r.phases;
         assert!(ph.inspector_build_ns > 0.0);
         assert!(ph.inspector_build_dup_ns > 0.0);
@@ -859,8 +798,6 @@ mod tests {
             ph.unpack_ns > 0.0,
             "last rank receives, so unpack must cost"
         );
-        assert!(ph.wire_ns >= 0.0 && ph.wire_ns <= r.fast_ns);
-        assert!(ph.session_overhead_ns.is_some());
         // All 16 library pairs report both methods.
         assert_eq!(r.pairs.len(), 16);
         for p in &r.pairs {
@@ -910,8 +847,5 @@ mod tests {
     fn micro_skips_reliable_leg_off_pairs() {
         let r = executor_micro(512, 3, 1);
         assert!(r.reliable_ns.is_none());
-        assert!(r.reliable_raw_ns.is_none());
-        assert!(r.reliable_overhead_pct().is_none());
-        assert!(r.phases.session_overhead_ns.is_none());
     }
 }

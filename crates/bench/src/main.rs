@@ -183,27 +183,16 @@ fn main() {
             if let (Some(rel_ns), Some(rel_mbps)) = (r.reliable_ns, r.reliable_mbps()) {
                 println!("reliable        {rel_ns:>10.0} ns/move  {rel_mbps:>8.0} MB/s");
             }
-            if let (Some(raw_ns), Some(pct)) = (r.reliable_raw_ns, r.reliable_overhead_pct()) {
-                println!(
-                    "reliable (raw)  {raw_ns:>10.0} ns/move  — transactional session layer \
-                     costs {pct:+.1}% fault-free (manifests + verdicts + staging)"
-                );
-            }
             let ph = r.phases;
             println!(
                 "phases: inspector build {:.0} ns (dup {:.0} ns, element-wise {:.0} ns = \
-                 {:.1}x slower), pack {:.0} ns, wire {:.0} ns, unpack {:.0} ns{}",
+                 {:.1}x slower), pack {:.0} ns, unpack {:.0} ns",
                 ph.inspector_build_ns,
                 ph.inspector_build_dup_ns,
                 ph.inspector_build_elementwise_ns,
                 r.inspector_speedup(),
                 ph.pack_ns,
-                ph.wire_ns,
-                ph.unpack_ns,
-                match ph.session_overhead_ns {
-                    Some(s) => format!(", session overhead {s:.0} ns"),
-                    None => String::new(),
-                }
+                ph.unpack_ns
             );
             println!("inspector per library pair (coop / dup build ns):");
             for p in &r.pairs {
@@ -266,12 +255,6 @@ fn main() {
                     JsonValue::Num(r.reliable_mbps().unwrap()),
                 ));
             }
-            if let Some(raw_ns) = r.reliable_raw_ns {
-                fields.push(("reliable_raw_ns_per_move", JsonValue::Num(raw_ns)));
-            }
-            if let Some(pct) = r.reliable_overhead_pct() {
-                fields.push(("reliable_overhead_pct", JsonValue::Num(pct)));
-            }
             fields.push(("recovery_settle_ns", JsonValue::Num(rec.settle_ns())));
             fields.push(("recovery_baseline_ns", JsonValue::Num(rec.baseline_ns)));
             fields.push(("recovery_crashed_ns", JsonValue::Num(rec.crashed_ns)));
@@ -291,7 +274,7 @@ fn main() {
                 "pipeline_overlap_pct",
                 JsonValue::Num(w.pipeline_overlap_pct()),
             ));
-            let mut phase_fields = vec![
+            let phase_fields = vec![
                 (
                     "inspector_build_ns".to_string(),
                     JsonValue::Num(ph.inspector_build_ns),
@@ -309,12 +292,8 @@ fn main() {
                     JsonValue::Num(r.inspector_speedup()),
                 ),
                 ("pack_ns".to_string(), JsonValue::Num(ph.pack_ns)),
-                ("wire_ns".to_string(), JsonValue::Num(ph.wire_ns)),
                 ("unpack_ns".to_string(), JsonValue::Num(ph.unpack_ns)),
             ];
-            if let Some(s) = ph.session_overhead_ns {
-                phase_fields.push(("session_overhead_ns".to_string(), JsonValue::Num(s)));
-            }
             fields.push(("phases", JsonValue::Obj(phase_fields)));
             fields.push((
                 "inspector_pairs",

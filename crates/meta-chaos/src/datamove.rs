@@ -23,7 +23,7 @@
 //! Copying in the opposite direction needs no new schedule: pass
 //! [`Schedule::reversed`] and swap the roles.
 //!
-//! ## Raw vs. reliable vs. transactional
+//! ## Raw vs. transactional
 //!
 //! Same-program [`data_move`] runs **raw**: the schedule-parity guarantee
 //! (§4.1.4 — exactly the hand-coded number and sizes of messages) holds
@@ -33,8 +33,7 @@
 //! the same epochs, the rejection is symmetric by construction.
 //!
 //! The cross-program halves run over the **reliable** transport
-//! (`mcsim::reliable`) and add a **session layer** on top, making every
-//! coupled transfer a transaction:
+//! (`mcsim::reliable`) as a transaction:
 //!
 //! 1. **Manifest exchange** — each pair swaps a compact description of the
 //!    transfer it is about to perform (schedule seq, total and per-pair
@@ -51,9 +50,18 @@
 //!    replayed halves from an earlier attempt carry an older transfer
 //!    epoch and are discarded.
 //!
-//! [`data_move_send_unverified`] / [`data_move_recv_unverified`] keep the
-//! bare reliable halves (no manifests, streaming unpack) alive as the
-//! ablation baseline the session-layer overhead is measured against.
+//! ## The move stream
+//!
+//! A schedule's cross-program traffic runs on one reliable stream per
+//! pair (`move_stream`).  Each data half is a sequence of parts, every
+//! part one frame `[transfer epoch][last][count]` followed by `count`
+//! packed elements.  The resumable [`crate::session`] protocol uses the
+//! same stream and the same parts, plus control frames `[marker][value]`
+//! whose marker lies below `DATA_FLOOR`.
+//!
+//! Both protocols receive through one function, `stage_half`, which
+//! differs between them only in how it reads a part's epoch
+//! (`Epochs`).  A staged half is committed by `commit_one_half`.
 
 use std::collections::HashMap;
 
@@ -163,15 +171,8 @@ where
     S: McObject<T>,
     D: McObject<T>,
 {
-    if let Some((object_epoch, schedule_epoch)) = stale_pair(src.epoch(), sched.src_epoch())
-        .or_else(|| stale_pair(dst.epoch(), sched.dst_epoch()))
-    {
-        ep.record_stale_schedule();
-        return Err(McError::StaleSchedule {
-            object_epoch,
-            schedule_epoch,
-        });
-    }
+    reject_stale(ep, src.epoch(), sched.src_epoch())?;
+    reject_stale(ep, dst.epoch(), sched.dst_epoch())?;
     // Post all sends first (buffered channels make this deadlock-free),
     // then do local copies, then drain receives.
     send_half(ep, sched, src);
@@ -181,8 +182,24 @@ where
 }
 
 /// `Some((object, schedule))` when the epochs disagree.
-pub(crate) fn stale_pair(object: u64, schedule: u64) -> Option<(u64, u64)> {
+fn stale_pair(object: u64, schedule: u64) -> Option<(u64, u64)> {
     (object != schedule).then_some((object, schedule))
+}
+
+/// Refuse, and count, a schedule built against an older distribution of
+/// an object: the check of every path that has no verdict round to carry
+/// it (the raw executor and the recovery session).
+pub(crate) fn reject_stale(ep: &mut Endpoint, object: u64, schedule: u64) -> Result<(), McError> {
+    match stale_pair(object, schedule) {
+        None => Ok(()),
+        Some((object_epoch, schedule_epoch)) => {
+            ep.record_stale_schedule();
+            Err(McError::StaleSchedule {
+                object_epoch,
+                schedule_epoch,
+            })
+        }
+    }
 }
 
 /// Source-program half of a two-program transfer: manifest exchange and
@@ -203,7 +220,34 @@ where
     T: Copy + Wire,
     S: McObject<T>,
 {
-    send_transaction(ep, sched, src, true)
+    send_side_guards(sched)?;
+    if sched.sends.is_empty() {
+        return Ok(());
+    }
+    let te = next_xfer_epoch(ep, sched);
+    let span = ep.span_begin(Phase::Transfer, || {
+        format!(
+            "mode=send seq={} te={} pairs={} elems={} src_epoch={}",
+            sched.seq(),
+            te,
+            sched.sends.len(),
+            sched.total_elems,
+            sched.src_epoch()
+        )
+    });
+    let r = settle(
+        ep,
+        sched,
+        &sched.sends,
+        te,
+        stale_pair(src.epoch(), sched.src_epoch()),
+    )
+    .and_then(|_| send_data_frames(ep, sched, src, te));
+    if let Err(e) = &r {
+        obs::record_abort(ep, e);
+    }
+    ep.span_end(span);
+    r
 }
 
 /// Destination-program half of a two-program transfer.  Misuse reporting
@@ -243,152 +287,9 @@ where
     r
 }
 
-/// Prepare phase only: runs the manifest exchange and verdict round of
-/// [`data_move_send`] and returns *without sending any data*.  A test
-/// failpoint for crashing a sender between "transaction agreed" and "data
-/// delivered" — the window all-or-nothing delivery exists for.  Not part
-/// of the Meta-Chaos API surface.
-#[doc(hidden)]
-pub fn data_move_send_verify_only<T, S>(
-    ep: &mut Endpoint,
-    sched: &Schedule,
-    src: &S,
-) -> Result<(), McError>
-where
-    T: Copy + Wire,
-    S: McObject<T>,
-{
-    send_transaction(ep, sched, src, false)
-}
-
-/// The send side of a transaction: guards, a fresh transfer epoch, and
-/// [`settle`], then (with `send_data`) the data frames inside a
-/// `Transfer` span.  Any error is recorded as an abort.
-fn send_transaction<T, S>(
-    ep: &mut Endpoint,
-    sched: &Schedule,
-    src: &S,
-    send_data: bool,
-) -> Result<(), McError>
-where
-    T: Copy + Wire,
-    S: McObject<T>,
-{
-    send_side_guards(sched)?;
-    if sched.sends.is_empty() {
-        return Ok(());
-    }
-    let te = next_xfer_epoch(ep, sched);
-    let span = send_data.then(|| {
-        ep.span_begin(Phase::Transfer, || {
-            format!(
-                "mode=send seq={} te={} pairs={} elems={} src_epoch={}",
-                sched.seq(),
-                te,
-                sched.sends.len(),
-                sched.total_elems,
-                sched.src_epoch()
-            )
-        })
-    });
-    let r = settle(
-        ep,
-        sched,
-        &sched.sends,
-        te,
-        stale_pair(src.epoch(), sched.src_epoch()),
-    )
-    .and_then(|_| {
-        if send_data {
-            send_data_frames(ep, sched, src, te)
-        } else {
-            Ok(())
-        }
-    });
-    if let Err(e) = &r {
-        obs::record_abort(ep, e);
-    }
-    if let Some(span) = span {
-        ep.span_end(span);
-    }
-    r
-}
-
-/// Ablation baseline for the session layer: the bare reliable send half of
-/// PR 2 — no manifest exchange, no verdict round, no epoch guard.  Frames
-/// are wire-compatible with [`data_move_recv`] (they carry the transfer
-/// epoch header), so a half posted here and never consumed models a
-/// replayed half from an aborted attempt.  Benchmarks and tests only.
-pub fn data_move_send_unverified<T, S>(
-    ep: &mut Endpoint,
-    sched: &Schedule,
-    src: &S,
-) -> Result<(), McError>
-where
-    T: Copy + Wire,
-    S: McObject<T>,
-{
-    send_side_guards(sched)?;
-    if sched.sends.is_empty() {
-        return Ok(());
-    }
-    let te = next_xfer_epoch(ep, sched);
-    send_data_frames(ep, sched, src, te)
-}
-
-/// Ablation baseline for the session layer: the bare reliable receive half
-/// of PR 2 — streaming unpack with no staging, accepting whatever transfer
-/// epoch arrives.  Benchmarks and tests only.
-pub fn data_move_recv_unverified<T, D>(
-    ep: &mut Endpoint,
-    sched: &Schedule,
-    dst: &mut D,
-) -> Result<(), McError>
-where
-    T: Copy + Wire,
-    D: McObject<T>,
-{
-    recv_side_guards(sched)?;
-    if sched.recvs.is_empty() {
-        return Ok(());
-    }
-    let st = move_stream(sched);
-    let group = sched.group();
-    for (peer, runs) in &sched.recvs {
-        let pg = group.global(*peer);
-        let mut cursor = 0usize;
-        loop {
-            let bytes = reliable::reliable_recv(ep, pg, st)?;
-            let mut r = WireReader::new(&bytes);
-            let (_te, last, count) = read_part_header(&mut r, pg)?;
-            if cursor + count > runs.len() {
-                return Err(McError::Transport(format!(
-                    "half from rank {pg} carries {} elements, schedule expects {}",
-                    cursor + count,
-                    runs.len()
-                )));
-            }
-            let slice = runs.slice_elems(cursor, count);
-            dst.unpack_runs_wire(ep, &slice, &mut r).map_err(|e| {
-                McError::Transport(format!("frame from peer {peer} failed to decode: {e}"))
-            })?;
-            cursor += count;
-            ep.recycle_buf(bytes);
-            if last {
-                if cursor != runs.len() {
-                    return Err(McError::Transport(format!(
-                        "half from rank {pg} carries {cursor} elements, schedule expects {}",
-                        runs.len()
-                    )));
-                }
-                break;
-            }
-        }
-    }
-    Ok(())
-}
-
-fn send_side_guards(sched: &Schedule) -> Result<(), McError> {
+/// Misuse checks of a cross-program send half: no local pairs, no
+/// receives.
+pub(crate) fn send_side_guards(sched: &Schedule) -> Result<(), McError> {
     if !sched.local_pairs.is_empty() {
         return Err(McError::LocalPairsInCrossProgramMove {
             pairs: sched.local_pairs.len(),
@@ -402,7 +303,9 @@ fn send_side_guards(sched: &Schedule) -> Result<(), McError> {
     Ok(())
 }
 
-fn recv_side_guards(sched: &Schedule) -> Result<(), McError> {
+/// Misuse checks of a cross-program receive half: no local pairs, no
+/// sends.
+pub(crate) fn recv_side_guards(sched: &Schedule) -> Result<(), McError> {
     if !sched.local_pairs.is_empty() {
         return Err(McError::LocalPairsInCrossProgramMove {
             pairs: sched.local_pairs.len(),
@@ -519,7 +422,7 @@ fn parse_verdict(bytes: &[u8], peer: usize) -> Result<(u8, u64, u64), McError> {
 ///
 /// Returns the per-pair transfer epochs the peers announced (meaningful on
 /// the receive side; senders announce `my_te` and ignore the result).
-pub(crate) fn settle(
+fn settle(
     ep: &mut Endpoint,
     sched: &Schedule,
     pairs: &[(usize, AddrRuns)],
@@ -709,9 +612,9 @@ fn settle_inner(
     Err(peer_abort.expect("abort must have a cause"))
 }
 
-/// Per-part header: transfer epoch (8), last-part flag (1), element count
-/// (8).  Headroom subtracted from the transport chunk size so one part's
-/// payload always fits a single reliable frame (zero-copy delivery).
+/// Headroom for the part header ([`PART_HDR_LEN`]) subtracted from the
+/// transport chunk size so one part's payload always fits a single
+/// reliable frame (zero-copy delivery).
 const PART_HDR_SLACK: usize = 32;
 
 /// Elements per streamed part: as many as fit one transport chunk, so the
@@ -757,28 +660,39 @@ where
     flushed
 }
 
-/// Parse one part's header.  Returns `(transfer_epoch, last, count)`.
-pub(crate) fn read_part_header(
-    r: &mut WireReader<'_>,
-    pg: usize,
-) -> Result<(u64, bool, usize), McError> {
-    let bad = |e| {
-        McError::Transport(format!(
-            "data frame from rank {pg} has no transfer header: {e}"
-        ))
-    };
-    let te = u64::read(r).map_err(bad)?;
-    let last = u8::read(r).map_err(bad)? != 0;
-    let count = usize::read(r).map_err(bad)?;
-    Ok((te, last, count))
+/// Length of a part's header: transfer epoch (8), last-part flag (1),
+/// element count (8).
+const PART_HDR_LEN: usize = 17;
+
+/// First transfer epoch a recovery session gives a data part; a first
+/// word below it marks one of the session's control frames.
+pub(crate) const DATA_FLOOR: u64 = 1 << 32;
+
+/// Session control-frame markers: the receiver's position (`value` = the
+/// next step it needs), a failed stage of step `value`, and the sender's
+/// close after `value` steps.
+pub(crate) const M_POS: u64 = 1;
+pub(crate) const M_NAK: u64 = 2;
+pub(crate) const M_FIN: u64 = 3;
+
+/// Post one session control frame `[marker][value]` and flush it.
+pub(crate) fn post_ctrl(
+    ep: &mut Endpoint,
+    to: usize,
+    st: StreamTag,
+    marker: u64,
+    value: u64,
+) -> Result<(), McError> {
+    let mut buf = ep.take_buf();
+    marker.write(&mut buf);
+    value.write(&mut buf);
+    reliable::reliable_send(ep, to, st, buf)?;
+    reliable::flush_send(ep, to, st)?;
+    Ok(())
 }
 
-/// Collect every peer's data half — now a stream of parts per half —
-/// verify all of them, and only then unpack, so a failure anywhere leaves
-/// `dst` bit-identical.  Parts carrying a transfer epoch older than the
-/// one the peer's manifest announced are replays of an aborted attempt:
-/// the whole replayed half (every part through its last-flag) is consumed
-/// and discarded, counted once.
+/// Collect every peer's data half, verify all of them, and only then
+/// unpack, so a failure anywhere leaves `dst` bit-identical.
 fn recv_data_frames<T, D>(
     ep: &mut Endpoint,
     sched: &Schedule,
@@ -811,90 +725,38 @@ where
     committed
 }
 
-/// The staging phase of [`recv_data_frames`]: collect every peer's data
-/// half and verify headers, epochs, and payload sizes.  A failure
-/// anywhere recycles everything staged and aborts the transfer, leaving
-/// the destination bit-identical.
+/// The staging phase of [`recv_data_frames`]: [`stage_half`] for every
+/// pair at the epoch its manifest announced.  A failure anywhere recycles
+/// everything staged and aborts the transfer, leaving the destination
+/// bit-identical.
 fn stage_halves(
     ep: &mut Endpoint,
     sched: &Schedule,
     expected: &[u64],
-) -> Result<Vec<Vec<Vec<u8>>>, McError> {
+) -> Result<Vec<Half>, McError> {
     let st = move_stream(sched);
     let group = sched.group();
     let esz = sched.elem_size() as usize;
-    // Per pair: the ordered list of staged part buffers for its half.
-    let mut staged: Vec<Vec<Vec<u8>>> = Vec::with_capacity(sched.recvs.len());
+    let mut staged = Vec::with_capacity(sched.recvs.len());
     let mut fail: Option<McError> = None;
     let stage = ep.span_begin(Phase::Stage, || {
         format!("seq={} pairs={}", sched.seq(), sched.recvs.len())
     });
-    'pairs: for (i, (peer, runs)) in sched.recvs.iter().enumerate() {
-        let pg = group.global(*peer);
-        let mut parts: Vec<Vec<u8>> = Vec::new();
-        let mut got = 0usize;
-        // True while discarding the remainder of a replayed (stale) half:
-        // the half is counted once, at its first part.
-        let mut in_stale = false;
-        loop {
-            let bytes = match reliable::reliable_recv(ep, pg, st) {
-                Ok(b) => b,
-                Err(e) => {
-                    fail = Some(e.into());
-                    break 'pairs;
-                }
-            };
-            let mut r = WireReader::new(&bytes);
-            let (te, last, count) = match read_part_header(&mut r, pg) {
-                Ok(h) => h,
-                Err(e) => {
-                    fail = Some(e);
-                    break 'pairs;
-                }
-            };
-            if te < expected[i] {
-                // A replay from an earlier, aborted attempt: the retried
-                // transfer must not consume it.
-                if !in_stale {
-                    ep.record_stale_half();
-                    in_stale = true;
-                }
-                if last {
-                    in_stale = false;
-                }
-                ep.recycle_buf(bytes);
-                continue;
-            }
-            if te > expected[i] {
-                fail = Some(McError::Transport(format!(
-                    "data frame from rank {pg} is from transfer epoch {te}, manifest announced {}",
-                    expected[i]
-                )));
-                break 'pairs;
-            }
-            if esz != 0 && r.remaining() != count * esz {
-                fail = Some(McError::Transport(format!(
-                    "part from rank {pg} has {} payload bytes, expected {}",
-                    r.remaining(),
-                    count * esz
-                )));
-                break 'pairs;
-            }
-            got += count;
-            if got > runs.len() || (last && got != runs.len()) {
-                fail = Some(McError::Transport(format!(
-                    "half from rank {pg} carries {got} elements, schedule expects {}",
-                    runs.len()
-                )));
-                break 'pairs;
-            }
-            ep.record_staged_frame();
-            parts.push(bytes);
-            if last {
+    for ((peer, runs), &te) in sched.recvs.iter().zip(expected) {
+        match stage_half(
+            ep,
+            st,
+            esz,
+            group.global(*peer),
+            runs,
+            Epochs::Announced(te),
+        ) {
+            Ok(parts) => staged.push(parts),
+            Err(e) => {
+                fail = Some(e);
                 break;
             }
         }
-        staged.push(std::mem::take(&mut parts));
     }
     ep.span_end(stage);
     if let Some(e) = fail {
@@ -902,7 +764,7 @@ fn stage_halves(
         let abort = ep.span_begin(Phase::Abort, || {
             format!("seq={} staged={total}", sched.seq())
         });
-        for b in staged.into_iter().flatten() {
+        for (_, b) in staged.into_iter().flatten() {
             ep.recycle_buf(b);
         }
         ep.record_transfer_aborted();
@@ -910,6 +772,180 @@ fn stage_halves(
         return Err(e);
     }
     Ok(staged)
+}
+
+/// A staged half: its `(element count, frame)` parts in arrival order.
+pub(crate) type Half = Vec<(usize, Vec<u8>)>;
+
+/// How a receive protocol reads the transfer epoch of an arriving part:
+/// the one policy in which [`stage_half`]'s callers differ.
+#[derive(Clone, Copy)]
+pub(crate) enum Epochs {
+    /// A transaction: take parts of the epoch the pair's manifest
+    /// announced.  An older epoch is a half replayed from an aborted
+    /// attempt, dropped through its last part and counted once; a newer
+    /// one fails.
+    Announced(u64),
+    /// A recovery session staging step `k`.  The epoch is `(step + 1) <<
+    /// 32 | attempt`.  A part of an older step is a replay, absorbed and
+    /// answered with the receiver's position `pos` once its half is
+    /// complete; a later step fails.  Within step `k`, a newer attempt
+    /// restarts collection (the sender abandoned the partial half) and
+    /// an older one is dropped.  A control frame fails.
+    Step { k: u64, pos: u64 },
+    /// A recovery session closing: every data part is a replay, answered
+    /// like a [`Epochs::Step`] replay, and the sender's FIN ends the half
+    /// with no parts.  Other control frames are skipped.
+    Closing { pos: u64 },
+}
+
+/// Read one pair's half off the move stream `st` from global rank `pg`:
+/// parse each part's header, apply the protocol's epoch policy, check the
+/// payload against `count × esz` bytes and the running element count
+/// against the pair's `runs`, and count every staged frame.  Returns the
+/// half as `(count, frame)` parts in arrival order; on failure every
+/// part is recycled and nothing escapes.
+pub(crate) fn stage_half(
+    ep: &mut Endpoint,
+    st: StreamTag,
+    esz: usize,
+    pg: usize,
+    runs: &AddrRuns,
+    epochs: Epochs,
+) -> Result<Half, McError> {
+    let mut parts = Vec::new();
+    let r = stage_parts(ep, st, esz, pg, runs, epochs, &mut parts);
+    if r.is_err() {
+        for (_, b) in parts.drain(..) {
+            ep.recycle_buf(b);
+        }
+    }
+    r.map(|()| parts)
+}
+
+fn stage_parts(
+    ep: &mut Endpoint,
+    st: StreamTag,
+    esz: usize,
+    pg: usize,
+    runs: &AddrRuns,
+    epochs: Epochs,
+    parts: &mut Half,
+) -> Result<(), McError> {
+    let mut got = 0usize;
+    // Session: the attempt whose half is being collected.
+    let mut attempt = 0u64;
+    // Transaction: inside a replayed half, which was counted at its first
+    // part.
+    let mut in_stale = false;
+    // Session: parts of the replayed half read so far.
+    let mut replayed = 0usize;
+    loop {
+        let bytes = reliable::reliable_recv(ep, pg, st)?;
+        let mut r = WireReader::new(&bytes);
+        let bad = |e| {
+            McError::Transport(match epochs {
+                Epochs::Announced(_) => {
+                    format!("data frame from rank {pg} has no transfer header: {e}")
+                }
+                Epochs::Step { .. } => format!("data frame from rank {pg}: {e}"),
+                Epochs::Closing { .. } => format!("session frame from rank {pg}: {e}"),
+            })
+        };
+        let te = u64::read(&mut r).map_err(bad)?;
+        if te < DATA_FLOOR && !matches!(epochs, Epochs::Announced(_)) {
+            ep.recycle_buf(bytes);
+            match epochs {
+                Epochs::Closing { .. } if te == M_FIN => return Ok(()),
+                Epochs::Step { k, .. } => {
+                    // A control frame can only be a sender's FIN — and a
+                    // sender cannot finish while this pair still owes it
+                    // a position.
+                    return Err(McError::Transport(format!(
+                        "unexpected control frame (marker {te}) from rank {pg} while staging step {k}"
+                    )));
+                }
+                _ => continue,
+            }
+        }
+        let last = u8::read(&mut r).map_err(bad)? != 0;
+        let count = usize::read(&mut r).map_err(bad)?;
+        let payload = r.remaining();
+        match epochs {
+            Epochs::Announced(want) => {
+                if te < want {
+                    if !in_stale {
+                        ep.record_stale_half();
+                    }
+                    in_stale = !last;
+                    ep.recycle_buf(bytes);
+                    continue;
+                }
+                if te > want {
+                    return Err(McError::Transport(format!(
+                        "data frame from rank {pg} is from transfer epoch {te}, manifest announced {want}"
+                    )));
+                }
+            }
+            Epochs::Step { pos, .. } | Epochs::Closing { pos } => {
+                let want = match epochs {
+                    Epochs::Step { k, .. } => k + 1,
+                    _ => u64::MAX,
+                };
+                let (step, epoch) = (te >> 32, te & 0xFFFF_FFFF);
+                if step < want {
+                    // Replay of a half an earlier step (possibly an
+                    // earlier life) already accepted.
+                    replayed += 1;
+                    ep.recycle_buf(bytes);
+                    if last {
+                        ep.record_stale_half();
+                        ep.record_parts_replayed(pg, replayed);
+                        replayed = 0;
+                        post_ctrl(ep, pg, st, M_POS, pos)?;
+                    }
+                    continue;
+                }
+                if step > want {
+                    return Err(McError::Transport(format!(
+                        "data frame from rank {pg} is for session step {}, expected {}",
+                        step - 1,
+                        want - 1
+                    )));
+                }
+                if !parts.is_empty() && epoch < attempt {
+                    ep.record_stale_half();
+                    ep.recycle_buf(bytes);
+                    continue;
+                }
+                if parts.is_empty() || epoch > attempt {
+                    for (_, b) in parts.drain(..) {
+                        ep.recycle_buf(b);
+                    }
+                    got = 0;
+                    attempt = epoch;
+                }
+            }
+        }
+        if esz != 0 && payload != count * esz {
+            return Err(McError::Transport(format!(
+                "part from rank {pg} has {payload} payload bytes, expected {}",
+                count * esz
+            )));
+        }
+        got += count;
+        if got > runs.len() || (last && got != runs.len()) {
+            return Err(McError::Transport(format!(
+                "half from rank {pg} carries {got} elements, schedule expects {}",
+                runs.len()
+            )));
+        }
+        ep.record_staged_frame();
+        parts.push((count, bytes));
+        if last {
+            return Ok(());
+        }
+    }
 }
 
 fn send_half<T, S>(ep: &mut Endpoint, sched: &Schedule, src: &S)
@@ -1025,18 +1061,15 @@ pub(crate) fn commit_one_half<T, D>(
     dst: &mut D,
     pg: usize,
     runs: &AddrRuns,
-    parts: Vec<Vec<u8>>,
+    parts: Half,
 ) -> Result<(), McError>
 where
     T: Copy + Wire,
     D: McObject<T>,
 {
     let mut cursor = 0usize;
-    for bytes in parts {
-        let mut r = WireReader::new(&bytes);
-        let _ = u64::read(&mut r);
-        let _ = u8::read(&mut r);
-        let count = usize::read(&mut r).unwrap_or(0);
+    for (count, bytes) in parts {
+        let mut r = WireReader::new(&bytes[PART_HDR_LEN..]);
         let slice = runs.slice_elems(cursor, count);
         if let Err(e) = dst.unpack_runs_wire(ep, &slice, &mut r) {
             return Err(McError::Transport(format!(
@@ -1140,5 +1173,171 @@ where
             "message from peer {peer} has wrong element count"
         );
         dst.unpack(ep, &addrs, &data);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adapter::Side;
+    use crate::build::{compute_schedule, BuildMethod};
+    use crate::region::IndexSet;
+    use crate::setof::SetOfRegions;
+    use crate::testlib::BlockVec;
+    use mcsim::group::Group;
+    use mcsim::model::MachineModel;
+    use mcsim::world::World;
+    use mcsim::{SimError, Tag};
+
+    const N: usize = 64;
+
+    /// The source side of a `pa` → `pb` coupling of the indices `0..N`.
+    fn src_sched(ep: &mut Endpoint, pa: &Group, pb: &Group, un: &Group, v: &BlockVec) -> Schedule {
+        let sset = SetOfRegions::single(IndexSet::new((0..N).collect()));
+        compute_schedule::<f64, BlockVec, BlockVec>(
+            ep,
+            un,
+            pa,
+            Some(Side::new(v, &sset)),
+            pb,
+            None,
+            BuildMethod::Cooperation,
+        )
+        .unwrap()
+    }
+
+    /// The destination side of the same coupling, onto `dst_idx`.
+    fn dst_sched(
+        ep: &mut Endpoint,
+        pa: &Group,
+        pb: &Group,
+        un: &Group,
+        x: &BlockVec,
+        dst_idx: Vec<usize>,
+    ) -> Schedule {
+        let dset = SetOfRegions::single(IndexSet::new(dst_idx));
+        compute_schedule::<f64, BlockVec, BlockVec>(
+            ep,
+            un,
+            pa,
+            None,
+            pb,
+            Some(Side::new(x, &dset)),
+            BuildMethod::Cooperation,
+        )
+        .unwrap()
+    }
+
+    /// All-or-nothing delivery: a sender that crashes after the
+    /// transaction settled but before its data frames leaves every
+    /// destination bit-identical to its pre-transfer state — including
+    /// receivers that had already staged the healthy sender's halves —
+    /// and the abort is visible as [`McError::PeerFailed`], not a hang.
+    #[test]
+    fn mid_transfer_crash_leaves_destinations_untouched() {
+        const SENTINEL: f64 = -7.5;
+        let report = World::with_model(4, MachineModel::sp2()).run_result(move |ep| {
+            let (pa, pb, un) = Group::split_two(2, 2, 32);
+            if pa.contains(ep.rank()) {
+                let v = BlockVec::create(&pa, ep.rank(), N, |i| (i * 3 + 1) as f64);
+                let sched = src_sched(ep, &pa, &pb, &un, &v);
+                if ep.rank() == 1 {
+                    // Settle the transaction (manifests + verdicts), then
+                    // die in the window all-or-nothing delivery exists
+                    // for: after "agreed", before any data.  The handshake
+                    // pins the order: rank 0's full send already
+                    // completed, so its halves are staged (or in flight
+                    // and acked) at the receivers.
+                    let te = next_xfer_epoch(ep, &sched);
+                    settle(ep, &sched, &sched.sends, te, None).unwrap();
+                    let _ = ep.recv(0, Tag::user(91));
+                    panic!("boom: sender dies mid-transfer");
+                }
+                let r = data_move_send(ep, &sched, &v);
+                ep.send(1, Tag::user(91), Vec::new());
+                (r, Vec::new())
+            } else {
+                let mut x = BlockVec::create(&pb, ep.rank(), N, |_| SENTINEL);
+                // Interleave the halves of the index space, so every
+                // receiver pairs with BOTH senders: a receiver that staged
+                // rank 0's half still has to roll it back when rank 1
+                // dies.
+                let dst_idx = (0..N).map(|p| p / 2 + (p % 2) * (N / 2)).collect();
+                let sched = dst_sched(ep, &pa, &pb, &un, &x, dst_idx);
+                assert_eq!(sched.recvs.len(), 2, "rank {} pairs with both", ep.rank());
+                let r = data_move_recv(ep, &sched, &mut x);
+                (r, x.data.clone())
+            }
+        });
+        // The healthy sender finished; the crasher's own panic is captured.
+        assert!(
+            matches!(&report.outcomes[0], Ok((Ok(()), _))),
+            "rank 0 failed"
+        );
+        assert!(matches!(
+            &report.outcomes[1],
+            Err(SimError::PeerFailed { rank: 1, .. })
+        ));
+        // Both receivers observed the failure as a value, with the
+        // destination bit-identical to its pre-transfer state.
+        for rank in [2, 3] {
+            match &report.outcomes[rank] {
+                Ok((Err(McError::PeerFailed { rank: 1, .. }), vals)) => {
+                    assert_eq!(vals.len(), N / 2);
+                    assert!(vals.iter().all(|&v| v == SENTINEL), "rank {rank}: {vals:?}");
+                }
+                other => panic!("rank {rank}: expected PeerFailed {{rank: 1}}, got {other:?}"),
+            }
+        }
+        // The staged-then-rolled-back halves are visible in the counters.
+        assert!(
+            report.stats.session.frames_staged >= 2,
+            "both receivers staged rank 0's half: {:?}",
+            report.stats.session
+        );
+        assert!(
+            report.stats.session.transfers_aborted >= 2,
+            "both receivers aborted: {:?}",
+            report.stats.session
+        );
+    }
+
+    /// Idempotent retry: a data half orphaned by an attempt that died
+    /// before commit is discarded by transfer-epoch dedup, and the retried
+    /// transfer delivers exactly the fresh attempt's data.
+    #[test]
+    fn retried_transfer_dedups_replayed_halves() {
+        let out = World::with_model(2, MachineModel::sp2()).run(move |ep| {
+            let (pa, pb, un) = Group::split_two(1, 1, 32);
+            if pa.contains(ep.rank()) {
+                let v = BlockVec::create(&pa, ep.rank(), N, |i| (i * 3 + 1) as f64);
+                let sched = src_sched(ep, &pa, &pb, &un, &v);
+                // A half from an attempt that died before commit (no
+                // manifest, no verdict — just the orphaned data frames on
+                // the wire), carrying data the retry must not deliver...
+                let orphan = BlockVec::create(&pa, ep.rank(), N, |_| -1.0);
+                let te = next_xfer_epoch(ep, &sched);
+                send_data_frames(ep, &sched, &orphan, te).unwrap();
+                // ...then the retry, exactly as the application would
+                // issue it.
+                data_move_send(ep, &sched, &v).unwrap();
+                Vec::new()
+            } else {
+                let mut x = BlockVec::create(&pb, ep.rank(), N, |_| 0.0);
+                let sched = dst_sched(ep, &pa, &pb, &un, &x, (0..N).collect());
+                data_move_recv(ep, &sched, &mut x).unwrap();
+                x.data.clone()
+            }
+        });
+        for (i, &v) in out.results[1].iter().enumerate() {
+            assert_eq!(v, (i * 3 + 1) as f64, "after retry, x[{i}]");
+        }
+        // The orphaned half was dropped by dedup, the fresh one staged.
+        assert_eq!(
+            out.stats.session.stale_halves_dropped, 1,
+            "replayed half must be discarded: {:?}",
+            out.stats.session
+        );
+        assert!(out.stats.session.frames_staged >= 1);
     }
 }

@@ -16,18 +16,20 @@
 //! directions.  Data parts keep the usual `[epoch][last][count][bytes]`
 //! header, but the session's transfer epoch is `(step + 1) << 32 |
 //! attempt`, so the step number rides every frame; control frames start
-//! with a marker below `1 << 32`, which no session data frame can.
+//! with a marker below `datamove::DATA_FLOOR`, which no session data
+//! frame can.  The receiver reads the stream with the transaction's own
+//! staging function, `datamove::stage_half`; only its epoch policy
+//! differs.
 //!
 //! - The **receiver** owns the truth: a per-pair committed-step vector
 //!   `c`, checkpointed atomically with the destination object after
 //!   every commit.  It stages whatever arrives: a half for the step it
-//!   needs is committed (or, when `c` says a previous life already
-//!   committed it, absorbed and counted as `parts_replayed`); a half
-//!   from an older step is a replay — dropped, and answered with the
-//!   receiver's position so a resending sender catches up.  An
-//!   attempt-epoch jump mid-half exposes the partial half of an attempt
-//!   the sender abandoned; the partial is discarded and collection
-//!   restarts, so the stream can never desynchronize.
+//!   needs is committed; a half from an older step is a replay — dropped,
+//!   counted as `parts_replayed`, and answered with the receiver's
+//!   position so a resending sender catches up.  An attempt-epoch jump
+//!   mid-half exposes the partial half of an attempt the sender
+//!   abandoned; the partial is discarded and collection restarts, so the
+//!   stream can never desynchronize.
 //! - The **sender** keeps a per-pair confirmed floor `s`
 //!   (checkpointed): each step it sends its half and waits for the
 //!   receiver's position to pass the step, retrying — with a fresh
@@ -38,6 +40,10 @@
 //!   receivers keep serving replayed halves until every sender's FIN
 //!   arrives.  Without this a finished rank would exit — and stop
 //!   heartbeating — while a restarted peer still needs its answers.
+//!
+//! Steps and the close all run in rounds of one attempt driver: clear
+//! the dead streams of the unfinished pairs, arm eviction, run the round,
+//! disarm, and retry on a retryable error, at most eight rounds.
 //!
 //! The session requires a supervised world
 //! ([`mcsim::World::with_supervisor`]): heartbeats drive the lease-based
@@ -55,19 +61,15 @@ use mcsim::span::Phase;
 use mcsim::wire::{Wire, WireReader};
 
 use crate::adapter::McObject;
-use crate::datamove::{commit_one_half, move_stream, next_xfer_epoch, send_one_half, stale_pair};
+use crate::datamove::{
+    commit_one_half, move_stream, next_xfer_epoch, post_ctrl, recv_side_guards, reject_stale,
+    send_one_half, send_side_guards, stage_half, Epochs, Half, M_FIN, M_NAK, M_POS,
+};
 use crate::error::McError;
 use crate::schedule::{AddrRuns, Schedule};
 
-/// Control-frame markers (first word; session data frames always start
-/// with an epoch of at least `1 << 32`).
-const M_POS: u64 = 1;
-const M_NAK: u64 = 2;
-const M_FIN: u64 = 3;
-
-/// First epoch value reserved for data frames; anything below is a
-/// control marker.
-const DATA_FLOOR: u64 = 1 << 32;
+/// Rounds every session operation (a step, or the close) may take.
+const ATTEMPTS: u32 = 8;
 
 /// A resumable multi-step transfer session over one bound port.
 ///
@@ -79,23 +81,14 @@ const DATA_FLOOR: u64 = 1 << 32;
 /// snapshots) brings it back to where the previous life stopped.
 pub struct RecoverySession {
     port: String,
-    attempts: u32,
 }
 
 impl RecoverySession {
-    /// A session for `port` with the default retry budget.
+    /// A session for `port`.
     pub fn new(port: &str) -> Self {
         RecoverySession {
             port: port.to_string(),
-            attempts: 8,
         }
-    }
-
-    /// Override the per-step attempt budget (default 8).
-    pub fn with_attempts(mut self, attempts: u32) -> Self {
-        assert!(attempts > 0, "attempt budget must be positive");
-        self.attempts = attempts;
-        self
     }
 
     fn key(&self, what: &str) -> String {
@@ -131,7 +124,8 @@ impl RecoverySession {
     /// Source-side step `k`: send every unconfirmed pair's half and wait
     /// for each receiver's position to pass the step, retrying across
     /// peer evictions until every pair confirms or the attempt budget
-    /// runs out.
+    /// runs out.  Misuse and stale schedules are refused like
+    /// [`crate::data_move_send`] refuses them.
     pub fn send_step<T, S>(
         &mut self,
         ep: &mut Endpoint,
@@ -143,69 +137,26 @@ impl RecoverySession {
         T: Copy + Wire,
         S: McObject<T>,
     {
+        send_side_guards(sched)?;
         if sched.sends.is_empty() {
             return Ok(());
         }
-        if !sched.recvs.is_empty() {
-            return Err(McError::SendSideHasReceives {
-                peers: sched.recvs.len(),
-            });
-        }
-        if let Some((o, e)) = stale_pair(src.epoch(), sched.src_epoch()) {
-            return Err(McError::StaleSchedule {
-                object_epoch: o,
-                schedule_epoch: e,
-            });
-        }
+        reject_stale(ep, src.epoch(), sched.src_epoch())?;
         let key_s = self.key("src_s");
         let mut s = load_progress(ep, &key_s, sched.sends.len());
-        let mut last_err: Option<McError> = None;
-        for _ in 0..self.attempts {
-            if s.iter().all(|&v| v > k) {
-                return Ok(());
-            }
-            let r = self.send_attempt(ep, sched, src, k, &mut s);
-            store_progress(ep, &key_s, &s);
-            match r {
-                Ok(()) => {
-                    if s.iter().all(|&v| v > k) {
-                        return Ok(());
-                    }
-                }
-                Err(e) if retryable(&e) => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            McError::Transport(format!(
-                "send step {k} on port '{}' did not confirm within {} attempts",
-                self.port, self.attempts
-            ))
-        }))
-    }
-
-    fn send_attempt<T, S>(
-        &mut self,
-        ep: &mut Endpoint,
-        sched: &Schedule,
-        src: &S,
-        k: u64,
-        s: &mut [u64],
-    ) -> Result<(), McError>
-    where
-        T: Copy + Wire,
-        S: McObject<T>,
-    {
-        let group = sched.group().clone();
-        for (i, (peer, _)) in sched.sends.iter().enumerate() {
-            if s[i] <= k {
-                ep.clear_dead_streams(group.global(*peer));
-            }
-        }
-        ep.arm_eviction();
-        let r = send_armed(ep, sched, src, k, s);
-        ep.disarm_eviction();
-        r
+        drive(ep, sched, &sched.sends, &mut s, k + 1, |ep, s| {
+            let r = send_round(ep, sched, src, k, s);
+            store_progress(ep, &key_s, s);
+            r
+        })
+        .map_err(|e| {
+            e.unwrap_or_else(|| {
+                McError::Transport(format!(
+                    "send step {k} on port '{}' did not confirm within {ATTEMPTS} attempts",
+                    self.port
+                ))
+            })
+        })
     }
 
     /// Destination-side step `k`: stage every uncommitted pair's half
@@ -214,6 +165,8 @@ impl RecoverySession {
     /// position.  Halves a previous life already committed never reach
     /// this step — `c` short-circuits them, and their replayed bytes
     /// are absorbed by the staging loop of whatever step runs next.
+    /// Misuse and stale schedules are refused like
+    /// [`crate::data_move_recv`] refuses them.
     pub fn recv_step<T, D>(
         &mut self,
         ep: &mut Endpoint,
@@ -225,48 +178,30 @@ impl RecoverySession {
         T: Copy + Wire,
         D: McObject<T> + Clone + Send + 'static,
     {
+        recv_side_guards(sched)?;
         if sched.recvs.is_empty() {
             return Ok(());
         }
-        if !sched.sends.is_empty() {
-            return Err(McError::RecvSideHasSends {
-                peers: sched.sends.len(),
-            });
-        }
-        if let Some((o, e)) = stale_pair(dst.epoch(), sched.dst_epoch()) {
-            return Err(McError::StaleSchedule {
-                object_epoch: o,
-                schedule_epoch: e,
-            });
-        }
-        let key_c = self.key("dst_c");
-        let mut c = load_progress(ep, &key_c, sched.recvs.len());
-        let mut last_err: Option<McError> = None;
-        for _ in 0..self.attempts {
-            if c.iter().all(|&v| v > k) {
-                return Ok(());
-            }
-            let r = self.recv_attempt(ep, sched, dst, k, &mut c);
-            match r {
-                Ok(()) => {
-                    if c.iter().all(|&v| v > k) {
-                        return Ok(());
-                    }
-                }
-                Err(e) if retryable(&e) => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            McError::Transport(format!(
-                "recv step {k} on port '{}' did not commit within {} attempts",
-                self.port, self.attempts
-            ))
-        }))
+        reject_stale(ep, dst.epoch(), sched.dst_epoch())?;
+        let mut c = load_progress(ep, &self.key("dst_c"), sched.recvs.len());
+        drive(ep, sched, &sched.recvs, &mut c, k + 1, |ep, c| {
+            self.recv_round(ep, sched, dst, k, c)
+        })
+        .map_err(|e| {
+            e.unwrap_or_else(|| {
+                McError::Transport(format!(
+                    "recv step {k} on port '{}' did not commit within {ATTEMPTS} attempts",
+                    self.port
+                ))
+            })
+        })
     }
 
-    fn recv_attempt<T, D>(
-        &mut self,
+    /// One receive round: stage, commit, checkpoint, and acknowledge
+    /// every uncommitted pair, holding the first error so later pairs
+    /// still make progress.
+    fn recv_round<T, D>(
+        &self,
         ep: &mut Endpoint,
         sched: &Schedule,
         dst: &mut D,
@@ -277,34 +212,7 @@ impl RecoverySession {
         T: Copy + Wire,
         D: McObject<T> + Clone + Send + 'static,
     {
-        let group = sched.group().clone();
-        for (i, (peer, _)) in sched.recvs.iter().enumerate() {
-            if c[i] <= k {
-                ep.clear_dead_streams(group.global(*peer));
-            }
-        }
-        ep.arm_eviction();
-        let r = self.recv_armed(ep, sched, dst, k, c);
-        ep.disarm_eviction();
-        r
-    }
-
-    /// The eviction-armed body of one receive attempt: stage, commit,
-    /// checkpoint, and acknowledge every uncommitted pair, holding the
-    /// first error so later pairs still make progress.
-    fn recv_armed<T, D>(
-        &mut self,
-        ep: &mut Endpoint,
-        sched: &Schedule,
-        dst: &mut D,
-        k: u64,
-        c: &mut [u64],
-    ) -> Result<(), McError>
-    where
-        T: Copy + Wire,
-        D: McObject<T> + Clone + Send + 'static,
-    {
-        let group = sched.group().clone();
+        let group = sched.group();
         let st = move_stream(sched);
         let mut first_err: Option<McError> = None;
         for (i, (peer, runs)) in sched.recvs.iter().enumerate() {
@@ -347,10 +255,7 @@ impl RecoverySession {
                 }
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Close the session after `steps` steps.  Senders post FIN to every
@@ -365,105 +270,66 @@ impl RecoverySession {
         sched: &Schedule,
         steps: u64,
     ) -> Result<(), McError> {
-        if !sched.sends.is_empty() {
-            self.finish_send(ep, sched, steps)
-        } else if !sched.recvs.is_empty() {
-            self.finish_recv(ep, sched, steps)
+        let sending = !sched.sends.is_empty();
+        let pairs = if sending { &sched.sends } else { &sched.recvs };
+        if pairs.is_empty() {
+            return Ok(());
+        }
+        let group = sched.group();
+        let st = move_stream(sched);
+        let esz = sched.elem_size() as usize;
+        let c = if sending {
+            Vec::new()
         } else {
-            Ok(())
-        }
-    }
-
-    fn finish_send(
-        &mut self,
-        ep: &mut Endpoint,
-        sched: &Schedule,
-        steps: u64,
-    ) -> Result<(), McError> {
-        let group = sched.group().clone();
-        let st = move_stream(sched);
-        let mut done = vec![false; sched.sends.len()];
-        let mut last_err: Option<McError> = None;
-        for _ in 0..self.attempts {
-            ep.arm_eviction();
+            load_progress(ep, &self.key("dst_c"), pairs.len())
+        };
+        let mut closed = vec![0u64; pairs.len()];
+        let r = drive(ep, sched, pairs, &mut closed, 1, |ep, closed| {
             let mut first_err: Option<McError> = None;
-            for (i, (peer, _)) in sched.sends.iter().enumerate() {
-                if done[i] {
+            for (i, (peer, runs)) in pairs.iter().enumerate() {
+                if closed[i] > 0 {
                     continue;
                 }
                 let pg = group.global(*peer);
-                ep.clear_dead_streams(pg);
-                match post_ctrl(ep, pg, st, M_FIN, steps) {
-                    Ok(()) => done[i] = true,
+                let r = if sending {
+                    post_ctrl(ep, pg, st, M_FIN, steps)
+                } else {
+                    stage_half(ep, st, esz, pg, runs, Epochs::Closing { pos: c[i] }).map(drop)
+                };
+                match r {
+                    Ok(()) => closed[i] = 1,
                     Err(e) if retryable(&e) => hold(&mut first_err, e),
-                    Err(e) => {
-                        ep.disarm_eviction();
-                        return Err(e);
-                    }
+                    Err(e) => return Err(e),
                 }
             }
-            ep.disarm_eviction();
-            match first_err {
-                None => return Ok(()),
-                Some(e) => last_err = Some(e),
-            }
-        }
-        // Every step is confirmed committed; an unreachable receiver
-        // after that many rounds has exited (or is beyond recovery) and
-        // owes us nothing.
-        ep.mark(|| {
-            format!(
-                "session '{}' finish: FIN undeliverable ({})",
-                self.port,
-                last_err.map(|e| e.to_string()).unwrap_or_default()
-            )
+            first_err.map_or(Ok(()), Err)
         });
-        Ok(())
-    }
-
-    fn finish_recv(
-        &mut self,
-        ep: &mut Endpoint,
-        sched: &Schedule,
-        steps: u64,
-    ) -> Result<(), McError> {
-        let group = sched.group().clone();
-        let st = move_stream(sched);
-        let c = load_progress(ep, &self.key("dst_c"), sched.recvs.len());
-        let mut fin = vec![false; sched.recvs.len()];
-        let mut last_err: Option<McError> = None;
-        for _ in 0..self.attempts {
-            ep.arm_eviction();
-            let mut first_err: Option<McError> = None;
-            for (i, (peer, _)) in sched.recvs.iter().enumerate() {
-                if fin[i] {
-                    continue;
-                }
-                let pg = group.global(*peer);
-                ep.clear_dead_streams(pg);
-                match serve_until_fin(ep, pg, st, c[i]) {
-                    Ok(()) => fin[i] = true,
-                    Err(e) if retryable(&e) => hold(&mut first_err, e),
-                    Err(e) => {
-                        ep.disarm_eviction();
-                        return Err(e);
-                    }
-                }
-            }
-            ep.disarm_eviction();
-            match first_err {
-                None => return Ok(()),
-                Some(e) => last_err = Some(e),
-            }
-        }
-        if c.iter().all(|&v| v >= steps) {
+        let last_err = match r {
+            Ok(()) => return Ok(()),
+            Err(Some(e)) if !retryable(&e) => return Err(e),
+            Err(last_err) => last_err,
+        };
+        let why = || last_err.as_ref().map(|e| e.to_string()).unwrap_or_default();
+        if sending {
+            // Every step is confirmed committed; an unreachable receiver
+            // after that many rounds has exited (or is beyond recovery)
+            // and owes us nothing.
+            ep.mark(|| {
+                format!(
+                    "session '{}' finish: FIN undeliverable ({})",
+                    self.port,
+                    why()
+                )
+            });
+            Ok(())
+        } else if c.iter().all(|&v| v >= steps) {
             // Everything we owe is committed and checkpointed; a sender
             // that still has not said FIN after that many rounds is gone.
             ep.mark(|| {
                 format!(
                     "session '{}' finish: FIN never arrived ({})",
                     self.port,
-                    last_err.map(|e| e.to_string()).unwrap_or_default()
+                    why()
                 )
             });
             Ok(())
@@ -478,12 +344,49 @@ impl RecoverySession {
     }
 }
 
-/// The eviction-armed body of one send attempt: post every unconfirmed
-/// pair's half *before* waiting on any position, so no receiver's
-/// progress waits on another pair's service order, then await each
-/// posted pair's confirmation.  The first error is held so later pairs
-/// still make progress within the attempt.
-fn send_armed<T, S>(
+/// The attempt driver of every session operation.  Pair `i` of `pairs`
+/// is finished once `at[i] >= done`.  Each round clears the dead streams
+/// of the unfinished pairs, arms eviction, runs `round`, and disarms;
+/// rounds repeat until every pair is finished, a round fails with an
+/// error that is not [`retryable`] (returned at once), or [`ATTEMPTS`]
+/// rounds have run (the last retryable error is returned, `None` if
+/// every round succeeded without finishing).
+fn drive(
+    ep: &mut Endpoint,
+    sched: &Schedule,
+    pairs: &[(usize, AddrRuns)],
+    at: &mut [u64],
+    done: u64,
+    mut round: impl FnMut(&mut Endpoint, &mut [u64]) -> Result<(), McError>,
+) -> Result<(), Option<McError>> {
+    let mut last_err: Option<McError> = None;
+    for _ in 0..ATTEMPTS {
+        if at.iter().all(|&v| v >= done) {
+            return Ok(());
+        }
+        for (i, (peer, _)) in pairs.iter().enumerate() {
+            if at[i] < done {
+                ep.clear_dead_streams(sched.group().global(*peer));
+            }
+        }
+        ep.arm_eviction();
+        let r = round(ep, at);
+        ep.disarm_eviction();
+        match r {
+            Ok(()) if at.iter().all(|&v| v >= done) => return Ok(()),
+            Ok(()) => {}
+            Err(e) if retryable(&e) => last_err = Some(e),
+            Err(e) => return Err(Some(e)),
+        }
+    }
+    Err(last_err)
+}
+
+/// One send round: post every unconfirmed pair's half *before* waiting
+/// on any position, so no receiver's progress waits on another pair's
+/// service order, then await each posted pair's confirmation.  The first
+/// error is held so later pairs still make progress within the round.
+fn send_round<T, S>(
     ep: &mut Endpoint,
     sched: &Schedule,
     src: &S,
@@ -494,7 +397,7 @@ where
     T: Copy + Wire,
     S: McObject<T>,
 {
-    let group = sched.group().clone();
+    let group = sched.group();
     let st = move_stream(sched);
     let te = step_te(ep, k, sched);
     let mut first_err: Option<McError> = None;
@@ -522,10 +425,7 @@ where
             hold(&mut first_err, e);
         }
     }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    first_err.map_or(Ok(()), Err)
 }
 
 /// Transfer epoch for session data frames: the step number (plus one, so
@@ -568,22 +468,6 @@ fn store_progress(ep: &mut Endpoint, key: &str, v: &[u64]) {
     ep.ckpt_put_state(key, Vec::new(), v.to_vec());
 }
 
-/// Post one control frame `[marker][value]` and flush it.
-fn post_ctrl(
-    ep: &mut Endpoint,
-    to: usize,
-    st: StreamTag,
-    marker: u64,
-    value: u64,
-) -> Result<(), McError> {
-    let mut buf = ep.take_buf();
-    marker.write(&mut buf);
-    value.write(&mut buf);
-    reliable::reliable_send(ep, to, st, buf)?;
-    reliable::flush_send(ep, to, st)?;
-    Ok(())
-}
-
 /// Sender-side wait: consume the receiver's position reports until the
 /// pair's floor passes `k`.  A NAK for the step means the receiver
 /// failed to stage this attempt's half — surface a retryable error so
@@ -621,15 +505,8 @@ fn await_pos(
     Ok(())
 }
 
-/// Collect one pair's half for step `k` from the move stream.  Frames
-/// from an older step are replays of a half this receiver already
-/// committed: they are dropped, and the completed stale half is
-/// answered with the receiver's current position `pos` (and counted as
-/// replayed parts) so a resending sender catches up.  An attempt-epoch
-/// jump mid-collection exposes the partial half of an attempt the
-/// sender abandoned (its eviction purged the unsent tail); the partial
-/// is dropped and collection restarts at the new epoch.  On error the
-/// partial parts are recycled and nothing escapes.
+/// Collect one pair's half for step `k` (see [`Epochs::Step`]), inside
+/// a `Stage` span; `pos` is the position replays are answered with.
 fn stage_session_half(
     ep: &mut Endpoint,
     sched: &Schedule,
@@ -637,165 +514,122 @@ fn stage_session_half(
     runs: &AddrRuns,
     k: u64,
     pos: u64,
-) -> Result<Vec<Vec<u8>>, McError> {
-    let st = move_stream(sched);
-    let esz = sched.elem_size() as usize;
+) -> Result<Half, McError> {
     let span = ep.span_begin(Phase::Stage, || {
         format!("seq={} peer={pg} step={k}", sched.seq())
     });
-    let r = stage_session_loop(ep, st, esz, pg, runs, k, pos);
+    let esz = sched.elem_size() as usize;
+    let r = stage_half(
+        ep,
+        move_stream(sched),
+        esz,
+        pg,
+        runs,
+        Epochs::Step { k, pos },
+    );
     ep.span_end(span);
     r
 }
 
-fn stage_session_loop(
-    ep: &mut Endpoint,
-    st: StreamTag,
-    esz: usize,
-    pg: usize,
-    runs: &AddrRuns,
-    k: u64,
-    pos: u64,
-) -> Result<Vec<Vec<u8>>, McError> {
-    let want = k + 1;
-    let mut parts: Vec<Vec<u8>> = Vec::new();
-    let mut got = 0usize;
-    let mut cur_epoch = 0u64;
-    let mut replayed = 0usize;
-    let fail = |ep: &mut Endpoint, parts: Vec<Vec<u8>>, e: McError| {
-        for b in parts {
-            ep.recycle_buf(b);
-        }
-        Err(e)
-    };
-    loop {
-        let bytes = match reliable::reliable_recv(ep, pg, st) {
-            Ok(b) => b,
-            Err(e) => return fail(ep, parts, e.into()),
-        };
-        let mut r = WireReader::new(&bytes);
-        let bad = |e| McError::Transport(format!("data frame from rank {pg}: {e}"));
-        let head = u64::read(&mut r).map_err(bad);
-        let te = match head {
-            Ok(v) => v,
-            Err(e) => {
-                ep.recycle_buf(bytes);
-                return fail(ep, parts, e);
-            }
-        };
-        if te < DATA_FLOOR {
-            // A control frame can only be a sender's FIN — and a sender
-            // cannot finish while this pair still owes it a position.
-            ep.recycle_buf(bytes);
-            let e = McError::Transport(format!(
-                "unexpected control frame (marker {te}) from rank {pg} while staging step {k}"
-            ));
-            return fail(ep, parts, e);
-        }
-        let (last, count) = {
-            let last = u8::read(&mut r).map_err(bad);
-            let count = usize::read(&mut r).map_err(bad);
-            match (last, count) {
-                (Ok(l), Ok(c)) => (l != 0, c),
-                (Err(e), _) | (_, Err(e)) => {
-                    ep.recycle_buf(bytes);
-                    return fail(ep, parts, e);
-                }
-            }
-        };
-        let (step, epoch) = (te >> 32, te & 0xFFFF_FFFF);
-        if step < want {
-            // Replay of a half an earlier step (possibly an earlier
-            // life) already accepted.
-            replayed += 1;
-            ep.recycle_buf(bytes);
-            if last {
-                ep.record_stale_half();
-                ep.record_parts_replayed(pg, replayed);
-                replayed = 0;
-                if let Err(e) = post_ctrl(ep, pg, st, M_POS, pos) {
-                    return fail(ep, parts, e);
-                }
-            }
-            continue;
-        }
-        if step > want {
-            let e = McError::Transport(format!(
-                "data frame from rank {pg} is for session step {}, expected {k}",
-                step - 1
-            ));
-            return fail(ep, parts, e);
-        }
-        if !parts.is_empty() && epoch < cur_epoch {
-            ep.record_stale_half();
-            ep.recycle_buf(bytes);
-            continue;
-        }
-        if parts.is_empty() || epoch > cur_epoch {
-            for b in parts.drain(..) {
-                ep.recycle_buf(b);
-            }
-            got = 0;
-            cur_epoch = epoch;
-        }
-        if esz != 0 && r.remaining() != count * esz {
-            let e = McError::Transport(format!(
-                "part from rank {pg} has {} payload bytes, expected {}",
-                r.remaining(),
-                count * esz
-            ));
-            return fail(ep, parts, e);
-        }
-        got += count;
-        if got > runs.len() || (last && got != runs.len()) {
-            let e = McError::Transport(format!(
-                "half from rank {pg} carries {got} elements, schedule expects {}",
-                runs.len()
-            ));
-            return fail(ep, parts, e);
-        }
-        ep.record_staged_frame();
-        parts.push(bytes);
-        if last {
-            return Ok(parts);
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adapter::Side;
+    use crate::build::{compute_schedule, BuildMethod};
+    use crate::region::IndexSet;
+    use crate::setof::SetOfRegions;
+    use crate::testlib::BlockVec;
+    use mcsim::group::Group;
+    use mcsim::model::MachineModel;
+    use mcsim::world::World;
 
-/// Receiver-side close for one pair: drain replayed halves (answering
-/// each completed one with our position) until the sender's FIN.
-fn serve_until_fin(ep: &mut Endpoint, pg: usize, st: StreamTag, pos: u64) -> Result<(), McError> {
-    let mut replayed = 0usize;
-    loop {
-        let bytes = reliable::reliable_recv(ep, pg, st)?;
-        let mut r = WireReader::new(&bytes);
-        let bad = |e| McError::Transport(format!("session frame from rank {pg}: {e}"));
-        let head = u64::read(&mut r).map_err(bad);
-        let te = match head {
-            Ok(v) => v,
-            Err(e) => {
-                ep.recycle_buf(bytes);
-                return Err(e);
+    /// A same-program schedule moves its data through local pairs, which
+    /// no session step carries: both steps refuse it, as the transaction
+    /// does, instead of returning `Ok` without copying anything.
+    #[test]
+    fn steps_refuse_same_program_schedules() {
+        let out = World::with_model(1, MachineModel::zero()).run(|ep| {
+            let g = Group::world(1);
+            let set = SetOfRegions::single(IndexSet::new((0..8).collect()));
+            let src = BlockVec::create(&g, 0, 8, |i| i as f64);
+            let mut dst = BlockVec::create(&g, 0, 8, |_| -1.0);
+            let sched = compute_schedule(
+                ep,
+                &g,
+                &g,
+                Some(Side::new(&src, &set)),
+                &g,
+                Some(Side::new(&dst, &set)),
+                BuildMethod::Cooperation,
+            )
+            .unwrap();
+            let mut ses = RecoverySession::new("local");
+            let recv = ses.recv_step(ep, &sched, &mut dst, 0);
+            let send = ses.send_step(ep, &sched, &src, 0);
+            (recv, send, dst.data)
+        });
+        let (recv, send, dst) = &out.results[0];
+        for r in [recv, send] {
+            assert!(
+                matches!(r, Err(McError::LocalPairsInCrossProgramMove { .. })),
+                "{r:?}"
+            );
+        }
+        assert!(dst.iter().all(|&v| v == -1.0), "{dst:?}");
+    }
+
+    /// A step on a schedule built against another distribution is
+    /// refused before any communication, and counted like the
+    /// transaction counts its own rejections.
+    #[test]
+    fn stale_steps_are_refused_and_counted() {
+        let out = World::with_model(2, MachineModel::zero()).run(|ep| {
+            let (pa, pb, un) = Group::split_two(1, 1, 32);
+            let set = SetOfRegions::single(IndexSet::new((0..8).collect()));
+            let mut ses = RecoverySession::new("stale");
+            if pa.contains(ep.rank()) {
+                let src = BlockVec::create(&pa, ep.rank(), 8, |i| i as f64);
+                let side = Some(Side::new(&src, &set));
+                let sched = compute_schedule::<f64, BlockVec, BlockVec>(
+                    ep,
+                    &un,
+                    &pa,
+                    side,
+                    &pb,
+                    None,
+                    BuildMethod::Cooperation,
+                )
+                .unwrap();
+                let (tag, size) = (sched.elem_tag(), sched.elem_size());
+                let stale = sched.with_integrity(5, 0, tag, size);
+                ses.send_step(ep, &stale, &src, 0)
+            } else {
+                let mut dst = BlockVec::create(&pb, ep.rank(), 8, |_| -1.0);
+                let side = Some(Side::new(&dst, &set));
+                let sched = compute_schedule::<f64, BlockVec, BlockVec>(
+                    ep,
+                    &un,
+                    &pa,
+                    None,
+                    &pb,
+                    side,
+                    BuildMethod::Cooperation,
+                )
+                .unwrap();
+                let (tag, size) = (sched.elem_tag(), sched.elem_size());
+                let stale = sched.with_integrity(0, 5, tag, size);
+                ses.recv_step(ep, &stale, &mut dst, 0)
             }
-        };
-        if te == M_FIN {
-            ep.recycle_buf(bytes);
-            return Ok(());
+        });
+        for r in &out.results {
+            assert_eq!(
+                *r,
+                Err(McError::StaleSchedule {
+                    object_epoch: 0,
+                    schedule_epoch: 5
+                })
+            );
         }
-        if te < DATA_FLOOR {
-            ep.recycle_buf(bytes);
-            continue;
-        }
-        let last = u8::read(&mut r).map(|v| v != 0);
-        ep.recycle_buf(bytes);
-        // Every data frame here is a replay: finish is only reached
-        // once every step committed.
-        replayed += 1;
-        if last.map_err(bad)? {
-            ep.record_stale_half();
-            ep.record_parts_replayed(pg, replayed);
-            replayed = 0;
-            post_ctrl(ep, pg, st, M_POS, pos)?;
-        }
+        assert_eq!(out.stats.session.stale_schedules, 2);
     }
 }

@@ -670,160 +670,6 @@ fn mismatched_ports_abort_both_sides_then_rebind_retries() {
     }
 }
 
-/// All-or-nothing delivery: a sender that crashes after the transaction
-/// settled but before its data frames leaves every destination
-/// bit-identical to its pre-transfer state — including receivers that had
-/// already staged the healthy sender's halves — and the abort is visible
-/// as [`McError::PeerFailed`], not a hang.
-#[test]
-fn mid_transfer_crash_leaves_destinations_untouched() {
-    use chaos::{IrregArray, Partition};
-    use mcsim::group::{Comm, Group};
-    use meta_chaos::datamove::data_move_send_verify_only;
-    use meta_chaos::region::IndexSet;
-
-    const SENTINEL: f64 = -7.5;
-    let report = World::with_model(4, MachineModel::sp2()).run_result(move |ep| {
-        let (pa, pb, un) = Group::split_two(2, 2, 32);
-        let sset: SetOfRegions<RegularSection> = SetOfRegions::single(RegularSection::whole(&[N]));
-        // Random partition on the receive side: every receiver pairs with
-        // BOTH senders, so a receiver that staged rank 0's half still has
-        // to roll it back when rank 1 dies.
-        let dset = SetOfRegions::single(IndexSet::new((0..N).collect()));
-        if pa.contains(ep.rank()) {
-            let mut v = MultiblockArray::<f64>::new(&pa, ep.rank(), &[N]);
-            v.fill_with(|c| (c[0] * 3 + 1) as f64);
-            let sched = compute_schedule::<f64, MultiblockArray<f64>, IrregArray<f64>>(
-                ep,
-                &un,
-                &pa,
-                Some(Side::new(&v, &sset)),
-                &pb,
-                None,
-                BuildMethod::Cooperation,
-            )
-            .unwrap();
-            if ep.rank() == 1 {
-                // Settle the transaction (manifests + verdicts), then die
-                // in the window all-or-nothing delivery exists for: after
-                // "agreed", before any data.  The handshake pins the order:
-                // rank 0's full send already completed, so its halves are
-                // staged (or in flight and acked) at the receivers.
-                data_move_send_verify_only(ep, &sched, &v).unwrap();
-                let _ = ep.recv(0, mcsim::Tag::user(91));
-                panic!("boom: sender dies mid-transfer");
-            }
-            let r = data_move_send(ep, &sched, &v);
-            ep.send(1, mcsim::Tag::user(91), Vec::new());
-            r.map(|()| Vec::new())
-        } else {
-            let mut x = {
-                let mut comm = Comm::new(ep, pb.clone());
-                IrregArray::create(&mut comm, N, Partition::Random(11), |_| SENTINEL)
-            };
-            let sched = compute_schedule::<f64, MultiblockArray<f64>, IrregArray<f64>>(
-                ep,
-                &un,
-                &pa,
-                None,
-                &pb,
-                Some(Side::new(&x, &dset)),
-                BuildMethod::Cooperation,
-            )
-            .unwrap();
-            let r = data_move_recv(ep, &sched, &mut x);
-            let vals: Vec<f64> = x.local().to_vec();
-            r.map(|()| vals)
-        }
-    });
-    // The healthy sender finished; the crasher's own panic is captured.
-    assert!(matches!(&report.outcomes[0], Ok(Ok(_))), "rank 0 failed");
-    assert!(matches!(
-        &report.outcomes[1],
-        Err(mcsim::SimError::PeerFailed { rank: 1, .. })
-    ));
-    // Both receivers observed the failure as a value, with the destination
-    // bit-identical to its pre-transfer state.
-    for rank in [2, 3] {
-        match &report.outcomes[rank] {
-            Ok(Err(McError::PeerFailed { rank: 1, .. })) => {}
-            other => panic!("rank {rank}: expected PeerFailed {{rank: 1}}, got {other:?}"),
-        }
-    }
-    // The staged-then-rolled-back halves are visible in the counters.
-    assert!(
-        report.stats.session.frames_staged >= 2,
-        "both receivers staged rank 0's half: {:?}",
-        report.stats.session
-    );
-    assert!(
-        report.stats.session.transfers_aborted >= 2,
-        "both receivers aborted: {:?}",
-        report.stats.session
-    );
-}
-
-/// Idempotent retry: a data half replayed from an attempt that died before
-/// commit is discarded by transfer-epoch dedup, and the retried transfer
-/// delivers exactly the fresh attempt's data.
-#[test]
-fn retried_transfer_dedups_replayed_halves() {
-    use mcsim::group::Group;
-    use meta_chaos::datamove::data_move_send_unverified;
-
-    let out = World::with_model(2, MachineModel::sp2()).run(move |ep| {
-        let (pa, pb, un) = Group::split_two(1, 1, 32);
-        let set: SetOfRegions<RegularSection> = SetOfRegions::single(RegularSection::whole(&[N]));
-        if pa.contains(ep.rank()) {
-            let mut v = MultiblockArray::<f64>::new(&pa, ep.rank(), &[N]);
-            v.fill_with(|c| (c[0] * 3 + 1) as f64);
-            let sched = compute_schedule::<f64, MultiblockArray<f64>, HpfArray<f64>>(
-                ep,
-                &un,
-                &pa,
-                Some(Side::new(&v, &set)),
-                &pb,
-                None,
-                BuildMethod::Cooperation,
-            )
-            .unwrap();
-            // A half from an attempt that died before commit (no manifest,
-            // no verdict — just the orphaned data frame on the wire)...
-            data_move_send_unverified(ep, &sched, &v).unwrap();
-            // ...then the retry, exactly as the application would issue it.
-            data_move_send(ep, &sched, &v).unwrap();
-            Vec::new()
-        } else {
-            let mut h = HpfArray::<f64>::new(&pb, ep.rank(), HpfDist::block_1d(N, 1));
-            let sched = compute_schedule::<f64, MultiblockArray<f64>, HpfArray<f64>>(
-                ep,
-                &un,
-                &pa,
-                None,
-                &pb,
-                Some(Side::new(&h, &set)),
-                BuildMethod::Cooperation,
-            )
-            .unwrap();
-            data_move_recv(ep, &sched, &mut h).unwrap();
-            (0..N)
-                .filter(|&x| h.owns(&[x]))
-                .map(|x| (x, h.get(&[x])))
-                .collect::<Vec<_>>()
-        }
-    });
-    for &(x, v) in &out.results[1] {
-        assert_eq!(v, (x * 3 + 1) as f64, "after retry, h[{x}]");
-    }
-    // The orphaned half was dropped by dedup, the fresh one staged.
-    assert_eq!(
-        out.stats.session.stale_halves_dropped, 1,
-        "replayed half must be discarded: {:?}",
-        out.stats.session
-    );
-    assert!(out.stats.session.frames_staged >= 1);
-}
-
 /// Raw two-rank reliable stream for the window-edge tests: rank 0 streams
 /// `msgs` messages of `bytes` bytes each to rank 1 under `cfg`, and rank 1
 /// verifies every byte of every message in order.  Integrity is asserted
