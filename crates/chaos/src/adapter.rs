@@ -9,7 +9,6 @@
 
 use mcsim::error::SimError;
 use mcsim::group::Comm;
-use mcsim::prelude::Endpoint;
 use mcsim::wire::{Wire, WireReader};
 
 use meta_chaos::adapter::{Location, McDescriptor, McObject};
@@ -170,34 +169,6 @@ impl<T: Copy> McObject<T> for IrregArray<T> {
         builder.finish()
     }
 
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-        positions: &[usize],
-    ) -> Vec<Location> {
-        // Another round trip through the distributed translation table —
-        // this is the "second call to the Chaos dereference function" that
-        // doubles duplication's build cost in the paper's Table 2.
-        let globals: Vec<usize> = positions
-            .iter()
-            .map(|&pos| {
-                let (ri, off) = set.locate_position(pos);
-                set.regions()[ri].index(off)
-            })
-            .collect();
-        comm.ep().charge_schedule_insert(globals.len());
-        let members = self.table().members().to_vec();
-        self.table()
-            .dereference(comm, &globals)
-            .into_iter()
-            .map(|(owner, addr)| Location {
-                rank: members[owner as usize],
-                addr: addr as usize,
-            })
-            .collect()
-    }
-
     fn descriptor(&self, comm: &mut Comm<'_>) -> IrregDesc {
         // The whole distributed table must be replicated — the expensive
         // step that makes duplication ≈2× cooperation in Table 2.
@@ -213,19 +184,12 @@ impl<T: Copy> McObject<T> for IrregArray<T> {
         IrregArray::epoch(self)
     }
 
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<T>) {
-        let data = self.local();
-        out.extend(addrs.iter().map(|&a| data[a]));
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
+    fn storage(&self) -> &[T] {
+        self.local()
     }
 
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], vals: &[T]) {
-        assert_eq!(addrs.len(), vals.len());
-        let data = self.local_mut();
-        for (&a, &v) in addrs.iter().zip(vals) {
-            data[a] = v;
-        }
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
+    fn storage_mut(&mut self) -> &mut [T] {
+        self.local_mut()
     }
 }
 

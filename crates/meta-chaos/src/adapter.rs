@@ -8,13 +8,20 @@
 //! distribution descriptor that enables the *duplication* schedule-build
 //! strategy.
 //!
+//! A [`LocalAddr`] is an offset into one dense local array per rank, so
+//! packing and unpacking need nothing from a library beyond that array:
+//! it exposes [`McObject::storage`] / [`McObject::storage_mut`], and the
+//! copying (one slice copy per address run, then one virtual-clock copy
+//! charge) is written once, here and in [`crate::datamove`].
+//!
 //! The four workspace libraries (`multiblock`, `chaos`, `hpf`, `tulip`)
 //! implement these traits; see the `custom_library` example for how little
 //! a fifth library needs.
 
+use mcsim::error::SimError;
 use mcsim::group::Comm;
 use mcsim::prelude::Endpoint;
-use mcsim::wire::Wire;
+use mcsim::wire::{Wire, WireReader};
 
 use crate::region::Region;
 use crate::runs::{coalesce_owned, LocatedRun, OwnedRun};
@@ -163,25 +170,6 @@ pub trait McObject<T: Copy> {
         coalesce_owned(&self.deref_owned(comm, set))
     }
 
-    /// Collective over the owning program: locate *arbitrary*
-    /// linearization positions of `set` — not just owned ones.  Each
-    /// calling rank passes its own query list and receives `Location`s in
-    /// query order.
-    ///
-    /// Regular libraries answer with closed-form arithmetic (no
-    /// communication); Chaos performs another round trip through its
-    /// distributed translation table.  The duplication build strategy
-    /// calls this once per side, which is what makes it cost "about twice
-    /// as much" as cooperation when a Chaos array is involved (paper
-    /// §5.1) while remaining communication-free for regular–regular
-    /// transfers (§5.3).
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<Self::Region>,
-        positions: &[usize],
-    ) -> Vec<Location>;
-
     /// Collective over the owning program: produce a descriptor every rank
     /// of the program holds in full (a Chaos implementation gathers its
     /// table pieces here, and charges the clock accordingly).
@@ -200,64 +188,51 @@ pub trait McObject<T: Copy> {
         0
     }
 
-    /// Copy the elements at `addrs` (in order) into `out`.
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<T>);
+    /// This rank's local storage: the dense array every [`LocalAddr`] this
+    /// object hands out indexes into.
+    fn storage(&self) -> &[T];
 
-    /// Store `data` (in order) into the elements at `addrs`.
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], data: &[T]);
-
-    /// Copy the elements covered by run-compressed `runs` (in run order)
-    /// into `out`.
-    ///
-    /// The default expands the runs and calls [`McObject::pack`], so
-    /// existing libraries work unchanged.  Libraries whose local storage is
-    /// a dense array (the regular ones: multiblock, hpf, tulip) override
-    /// this with one `extend_from_slice` per run — the executor fast path
-    /// that makes regular-section transfers a handful of `memcpy`s.
-    fn pack_runs(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<T>) {
-        self.pack(ep, &runs.to_vec(), out);
-    }
-
-    /// Store `data` into the elements covered by `runs` (in run order).
-    /// Bulk counterpart of [`McObject::unpack`]; same default/override
-    /// contract as [`McObject::pack_runs`].
-    fn unpack_runs(&mut self, ep: &mut Endpoint, runs: &AddrRuns, data: &[T]) {
-        self.unpack(ep, &runs.to_vec(), data);
-    }
+    /// Mutable local storage, addressed like [`McObject::storage`].
+    fn storage_mut(&mut self) -> &mut [T];
 
     /// Encode the elements covered by `runs` straight into a wire buffer
-    /// (payload bytes only — the caller writes the element-count header).
+    /// (payload bytes only — the caller writes the element-count header):
+    /// one [`Wire::write_slice`] per run out of [`McObject::storage`], so a
+    /// send packs source storage → wire buffer in a single copy.
     ///
-    /// The default stages through a scratch vector; dense-array libraries
-    /// override this with one [`Wire::write_slice`] per run, so a send
-    /// packs source storage → wire buffer in a single copy with no
-    /// intermediate typed buffer.
+    /// Implementations do not override this or
+    /// [`McObject::unpack_runs_wire`]: the per-run copy and its price (one
+    /// `charge_copy_bytes` of the run bytes per call) are the same for
+    /// every library.
     fn pack_runs_wire(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<u8>)
     where
         T: Wire,
     {
-        let mut scratch = Vec::with_capacity(runs.len());
-        self.pack_runs(ep, runs, &mut scratch);
-        T::write_slice(&scratch, out);
+        let data = self.storage();
+        for &(start, len) in runs.runs() {
+            T::write_slice(&data[start..start + len], out);
+        }
+        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
     }
 
     /// Decode `runs.len()` elements from a received payload straight into
     /// the elements covered by `runs` (the caller has already consumed the
-    /// count header).  Default stages through a scratch vector; dense-array
-    /// libraries override with one [`Wire::read_slice`] per run, making
-    /// receive-side unpacking wire buffer → library storage in one copy.
+    /// count header): one [`Wire::read_slice`] per run into
+    /// [`McObject::storage_mut`].
     fn unpack_runs_wire(
         &mut self,
         ep: &mut Endpoint,
         runs: &AddrRuns,
-        r: &mut mcsim::wire::WireReader<'_>,
-    ) -> Result<(), mcsim::error::SimError>
+        r: &mut WireReader<'_>,
+    ) -> Result<(), SimError>
     where
         T: Wire,
     {
-        let mut scratch = Vec::with_capacity(runs.len());
-        T::read_extend(r, runs.len(), &mut scratch)?;
-        self.unpack_runs(ep, runs, &scratch);
+        let data = self.storage_mut();
+        for &(start, len) in runs.runs() {
+            T::read_slice(r, &mut data[start..start + len])?;
+        }
+        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
         Ok(())
     }
 }
@@ -289,8 +264,6 @@ impl<'a, T: Copy, O: McObject<T>> Side<'a, T, O> {
 mod tests {
     use super::*;
     use crate::region::IndexSet;
-    use mcsim::error::SimError;
-    use mcsim::wire::WireReader;
 
     /// A toy descriptor: element `g` lives on rank `g % p`, addr `g / p`.
     #[derive(Clone, Debug, PartialEq)]
@@ -362,5 +335,55 @@ mod tests {
         let tail = d.locate_runs(&set, 3, 2);
         assert_eq!(tail[0].pos, 3);
         assert_eq!(tail.last().unwrap().end(), 5);
+    }
+
+    /// The provided wire copies on a dense-storage library, over runs out
+    /// of address order with gaps between them: the packed bytes are the
+    /// per-element encoding, unpacking writes exactly the covered
+    /// addresses, and each call is charged as one copy of the run bytes.
+    #[test]
+    fn provided_wire_copies_cover_runs_exactly() {
+        use crate::schedule::AddrRuns;
+        use crate::testlib::BlockVec;
+        use mcsim::group::Group;
+        use mcsim::model::MachineModel;
+        use mcsim::world::World;
+
+        World::with_model(1, MachineModel::sp2()).run(|ep| {
+            let g = Group::world(1);
+            let mut runs = AddrRuns::new();
+            runs.push_run(9, 3);
+            runs.push_run(1, 4);
+            runs.push_run(14, 1);
+            let one_copy =
+                (runs.len() * std::mem::size_of::<f64>()) as f64 * ep.model().byte_copy_cost;
+
+            let src = BlockVec::create(&g, 0, 16, |i| i as f64 + 0.5);
+            let before = ep.clock();
+            let mut bytes = Vec::new();
+            src.pack_runs_wire(ep, &runs, &mut bytes);
+            assert_eq!(ep.clock().to_bits(), (before + one_copy).to_bits());
+            let mut want = Vec::new();
+            for a in runs.iter() {
+                src.data[a].write(&mut want);
+            }
+            assert_eq!(bytes, want);
+
+            let mut dst = BlockVec::create(&g, 0, 16, |_| -1.0);
+            let before = ep.clock();
+            let mut r = WireReader::new(&bytes);
+            dst.unpack_runs_wire(ep, &runs, &mut r).unwrap();
+            assert_eq!(ep.clock().to_bits(), (before + one_copy).to_bits());
+            assert_eq!(r.remaining(), 0);
+            let covered: Vec<usize> = runs.iter().collect();
+            for (a, &v) in dst.data.iter().enumerate() {
+                let want = if covered.contains(&a) {
+                    src.data[a]
+                } else {
+                    -1.0
+                };
+                assert_eq!(v, want, "address {a}");
+            }
+        });
     }
 }

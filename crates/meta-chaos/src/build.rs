@@ -1279,7 +1279,6 @@ fn finish_parts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapter::Location;
     use crate::datamove::{data_move, data_move_recv, data_move_send};
     use crate::region::IndexSet;
     use crate::testlib::{BlockVec, BlockVecDesc};
@@ -1754,25 +1753,16 @@ mod tests {
             out
         }
 
-        fn locate_positions(
-            &self,
-            comm: &mut Comm<'_>,
-            set: &SetOfRegions<IndexSet>,
-            positions: &[usize],
-        ) -> Vec<Location> {
-            self.0.locate_positions(comm, set, positions)
-        }
-
         fn descriptor(&self, comm: &mut Comm<'_>) -> BlockVecDesc {
             self.0.descriptor(comm)
         }
 
-        fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<f64>) {
-            self.0.pack(ep, addrs, out);
+        fn storage(&self) -> &[f64] {
+            self.0.storage()
         }
 
-        fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], data: &[f64]) {
-            self.0.unpack(ep, addrs, data);
+        fn storage_mut(&mut self) -> &mut [f64] {
+            self.0.storage_mut()
         }
     }
 

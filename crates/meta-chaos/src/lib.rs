@@ -28,9 +28,10 @@
 //!
 //! Exactly what the paper asks of a library implementor: a Region type, a
 //! way to enumerate/locate the elements of a region in linearization order
-//! ([`McObject::deref_owned`] and [`McDescriptor::locate`]), and
-//! pack/unpack.  The `multiblock`, `chaos`, `hpf` and `tulip` crates in
-//! this workspace are four such libraries.
+//! ([`McObject::deref_owned`] and [`McDescriptor::locate`]), and its
+//! local storage array ([`McObject::storage`]), which Meta-Chaos packs
+//! from and unpacks into.  The `multiblock`, `chaos`, `hpf` and `tulip`
+//! crates in this workspace are four such libraries.
 //!
 //! ## Example
 //!

@@ -7,7 +7,6 @@
 
 use mcsim::error::SimError;
 use mcsim::group::{Comm, Group};
-use mcsim::prelude::Endpoint;
 use mcsim::wire::{Wire, WireReader};
 
 use crate::adapter::{Location, McDescriptor, McObject};
@@ -123,75 +122,15 @@ impl McObject<f64> for BlockVec {
         out
     }
 
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-        positions: &[usize],
-    ) -> Vec<Location> {
-        comm.ep().charge_owner_calc(positions.len());
-        positions
-            .iter()
-            .map(|&p| self.desc.locate(set, p))
-            .collect()
-    }
-
     fn descriptor(&self, _comm: &mut Comm<'_>) -> BlockVecDesc {
         self.desc.clone()
     }
 
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<f64>) {
-        out.extend(addrs.iter().map(|&a| self.data[a]));
-        ep.charge_copy_bytes(addrs.len() * 8);
+    fn storage(&self) -> &[f64] {
+        &self.data
     }
 
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], data: &[f64]) {
-        assert_eq!(addrs.len(), data.len());
-        for (&a, &v) in addrs.iter().zip(data) {
-            self.data[a] = v;
-        }
-        ep.charge_copy_bytes(addrs.len() * 8);
-    }
-
-    fn pack_runs(&self, ep: &mut Endpoint, runs: &crate::schedule::AddrRuns, out: &mut Vec<f64>) {
-        for &(start, len) in runs.runs() {
-            out.extend_from_slice(&self.data[start..start + len]);
-        }
-        ep.charge_copy_bytes(runs.len() * 8);
-    }
-
-    fn unpack_runs(&mut self, ep: &mut Endpoint, runs: &crate::schedule::AddrRuns, vals: &[f64]) {
-        assert_eq!(runs.len(), vals.len());
-        let mut off = 0;
-        for &(start, len) in runs.runs() {
-            self.data[start..start + len].copy_from_slice(&vals[off..off + len]);
-            off += len;
-        }
-        ep.charge_copy_bytes(runs.len() * 8);
-    }
-
-    fn pack_runs_wire(
-        &self,
-        ep: &mut Endpoint,
-        runs: &crate::schedule::AddrRuns,
-        out: &mut Vec<u8>,
-    ) {
-        for &(start, len) in runs.runs() {
-            f64::write_slice(&self.data[start..start + len], out);
-        }
-        ep.charge_copy_bytes(runs.len() * 8);
-    }
-
-    fn unpack_runs_wire(
-        &mut self,
-        ep: &mut Endpoint,
-        runs: &crate::schedule::AddrRuns,
-        r: &mut WireReader<'_>,
-    ) -> Result<(), SimError> {
-        for &(start, len) in runs.runs() {
-            f64::read_slice(r, &mut self.data[start..start + len])?;
-        }
-        ep.charge_copy_bytes(runs.len() * 8);
-        Ok(())
+    fn storage_mut(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 }

@@ -8,13 +8,11 @@
 
 use mcsim::error::SimError;
 use mcsim::group::Comm;
-use mcsim::prelude::Endpoint;
 use mcsim::wire::{Wire, WireReader};
 
 use meta_chaos::adapter::{Location, McDescriptor, McObject};
 use meta_chaos::region::{Region, RegularSection};
 use meta_chaos::runs::{LocatedRun, OwnedRun, RunBuilder};
-use meta_chaos::schedule::AddrRuns;
 use meta_chaos::setof::SetOfRegions;
 use meta_chaos::LocalAddr;
 
@@ -204,29 +202,6 @@ impl<T: Copy + Default> McObject<T> for MultiblockArray<T> {
         builder.finish()
     }
 
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<RegularSection>,
-        positions: &[usize],
-    ) -> Vec<Location> {
-        // Closed-form block arithmetic per query; no communication.
-        let dist = self.dist();
-        comm.ep().charge_owner_calc(positions.len());
-        positions
-            .iter()
-            .map(|&pos| {
-                let (ri, off) = set.locate_position(pos);
-                let coords = set.regions()[ri].coords_of(off);
-                let local = dist.owner(&coords);
-                Location {
-                    rank: self.members()[local],
-                    addr: dist.local_addr(local, &coords),
-                }
-            })
-            .collect()
-    }
-
     fn descriptor(&self, _comm: &mut Comm<'_>) -> BlockDesc {
         // Purely local: a block descriptor is a few integers.
         BlockDesc {
@@ -239,66 +214,12 @@ impl<T: Copy + Default> McObject<T> for MultiblockArray<T> {
         MultiblockArray::epoch(self)
     }
 
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<T>) {
-        let data = self.local();
-        out.extend(addrs.iter().map(|&a| data[a]));
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
+    fn storage(&self) -> &[T] {
+        self.local()
     }
 
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], vals: &[T]) {
-        assert_eq!(addrs.len(), vals.len());
-        let data = self.local_mut();
-        for (&a, &v) in addrs.iter().zip(vals) {
-            data[a] = v;
-        }
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
-    }
-
-    fn pack_runs(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<T>) {
-        let data = self.local();
-        for &(start, len) in runs.runs() {
-            out.extend_from_slice(&data[start..start + len]);
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn unpack_runs(&mut self, ep: &mut Endpoint, runs: &AddrRuns, vals: &[T]) {
-        assert_eq!(runs.len(), vals.len());
-        let data = self.local_mut();
-        let mut off = 0;
-        for &(start, len) in runs.runs() {
-            data[start..start + len].copy_from_slice(&vals[off..off + len]);
-            off += len;
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn pack_runs_wire(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<u8>)
-    where
-        T: Wire,
-    {
-        let data = self.local();
-        for &(start, len) in runs.runs() {
-            T::write_slice(&data[start..start + len], out);
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn unpack_runs_wire(
-        &mut self,
-        ep: &mut Endpoint,
-        runs: &AddrRuns,
-        r: &mut WireReader<'_>,
-    ) -> Result<(), SimError>
-    where
-        T: Wire,
-    {
-        let data = self.local_mut();
-        for &(start, len) in runs.runs() {
-            T::read_slice(r, &mut data[start..start + len])?;
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-        Ok(())
+    fn storage_mut(&mut self) -> &mut [T] {
+        self.local_mut()
     }
 }
 

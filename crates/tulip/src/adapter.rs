@@ -1,18 +1,17 @@
 //! The complete Meta-Chaos integration of the Tulip collection — all a
 //! library must supply (paper §4.1.3): a Region type (we reuse
 //! [`IndexSet`]), a descriptor with `locate`, an owned-elements
-//! dereference, and pack/unpack.  Everything is closed-form because the
-//! deal distribution is `g % P`.
+//! dereference, and the local storage array Meta-Chaos packs from and
+//! unpacks into.  Everything is closed-form because the deal distribution
+//! is `g % P`.
 
 use mcsim::error::SimError;
 use mcsim::group::Comm;
-use mcsim::prelude::Endpoint;
 use mcsim::wire::{Wire, WireReader};
 
 use meta_chaos::adapter::{Location, McDescriptor, McObject};
 use meta_chaos::region::IndexSet;
 use meta_chaos::runs::{OwnedRun, RunBuilder};
-use meta_chaos::schedule::AddrRuns;
 use meta_chaos::setof::SetOfRegions;
 use meta_chaos::LocalAddr;
 
@@ -99,27 +98,6 @@ impl<T: Copy + Default> McObject<T> for DistributedCollection<T> {
         builder.finish()
     }
 
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-        positions: &[usize],
-    ) -> Vec<Location> {
-        let p = self.num_procs();
-        comm.ep().charge_owner_calc(positions.len());
-        positions
-            .iter()
-            .map(|&pos| {
-                let (ri, off) = set.locate_position(pos);
-                let g = set.regions()[ri].index(off);
-                Location {
-                    rank: self.members()[g % p],
-                    addr: g / p,
-                }
-            })
-            .collect()
-    }
-
     fn descriptor(&self, _comm: &mut Comm<'_>) -> TulipDesc {
         TulipDesc {
             n: self.len(),
@@ -127,66 +105,12 @@ impl<T: Copy + Default> McObject<T> for DistributedCollection<T> {
         }
     }
 
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<T>) {
-        let data = self.local();
-        out.extend(addrs.iter().map(|&a| data[a]));
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
+    fn storage(&self) -> &[T] {
+        self.local()
     }
 
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], vals: &[T]) {
-        assert_eq!(addrs.len(), vals.len());
-        let data = self.local_mut();
-        for (&a, &v) in addrs.iter().zip(vals) {
-            data[a] = v;
-        }
-        ep.charge_copy_bytes(addrs.len() * std::mem::size_of::<T>());
-    }
-
-    fn pack_runs(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<T>) {
-        let data = self.local();
-        for &(start, len) in runs.runs() {
-            out.extend_from_slice(&data[start..start + len]);
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn unpack_runs(&mut self, ep: &mut Endpoint, runs: &AddrRuns, vals: &[T]) {
-        assert_eq!(runs.len(), vals.len());
-        let data = self.local_mut();
-        let mut off = 0;
-        for &(start, len) in runs.runs() {
-            data[start..start + len].copy_from_slice(&vals[off..off + len]);
-            off += len;
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn pack_runs_wire(&self, ep: &mut Endpoint, runs: &AddrRuns, out: &mut Vec<u8>)
-    where
-        T: Wire,
-    {
-        let data = self.local();
-        for &(start, len) in runs.runs() {
-            T::write_slice(&data[start..start + len], out);
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-    }
-
-    fn unpack_runs_wire(
-        &mut self,
-        ep: &mut Endpoint,
-        runs: &AddrRuns,
-        r: &mut WireReader<'_>,
-    ) -> Result<(), SimError>
-    where
-        T: Wire,
-    {
-        let data = self.local_mut();
-        for &(start, len) in runs.runs() {
-            T::read_slice(r, &mut data[start..start + len])?;
-        }
-        ep.charge_copy_bytes(runs.len() * std::mem::size_of::<T>());
-        Ok(())
+    fn storage_mut(&mut self) -> &mut [T] {
+        self.local_mut()
     }
 }
 

@@ -5,14 +5,15 @@
 //!
 //! This example defines `StripedVector`, a toy library whose elements are
 //! striped backwards across the processors, implements the Meta-Chaos
-//! interface for it in ~80 lines, and immediately exchanges data with
-//! Multiblock Parti — no changes to any other crate.
+//! interface for it in ~70 lines, and immediately exchanges data with
+//! Multiblock Parti — no changes to any other crate.  The interface is a
+//! descriptor that locates any element, an owned-elements dereference, and
+//! the local storage array; Meta-Chaos does all packing and unpacking.
 //!
 //! Run with `cargo run --example custom_library`.
 
 use mcsim::error::SimError;
 use mcsim::group::{Comm, Group};
-use mcsim::prelude::Endpoint;
 use mcsim::wire::{Wire, WireReader};
 use mcsim::{MachineModel, World};
 
@@ -112,20 +113,6 @@ impl McObject<f64> for StripedVector {
         out
     }
 
-    fn locate_positions(
-        &self,
-        comm: &mut Comm<'_>,
-        set: &SetOfRegions<IndexSet>,
-        positions: &[usize],
-    ) -> Vec<Location> {
-        let d = StripedDesc {
-            n: self.n,
-            members: self.members.clone(),
-        };
-        comm.ep().charge_owner_calc(positions.len());
-        positions.iter().map(|&p| d.locate(set, p)).collect()
-    }
-
     fn descriptor(&self, _comm: &mut Comm<'_>) -> StripedDesc {
         StripedDesc {
             n: self.n,
@@ -133,16 +120,12 @@ impl McObject<f64> for StripedVector {
         }
     }
 
-    fn pack(&self, ep: &mut Endpoint, addrs: &[LocalAddr], out: &mut Vec<f64>) {
-        out.extend(addrs.iter().map(|&a| self.data[a]));
-        ep.charge_copy_bytes(8 * addrs.len());
+    fn storage(&self) -> &[f64] {
+        &self.data
     }
 
-    fn unpack(&mut self, ep: &mut Endpoint, addrs: &[LocalAddr], vals: &[f64]) {
-        for (&a, &v) in addrs.iter().zip(vals) {
-            self.data[a] = v;
-        }
-        ep.charge_copy_bytes(8 * addrs.len());
+    fn storage_mut(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 }
 
@@ -209,7 +192,7 @@ fn main() {
     );
     assert!(ok);
     println!(
-        "the whole integration is the ~100 lines of McObject/McDescriptor\n\
+        "the whole integration is the ~70 lines of McObject/McDescriptor\n\
          impls above — no changes to Meta-Chaos or any other library."
     );
 }
