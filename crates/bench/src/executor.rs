@@ -592,9 +592,9 @@ pub fn amortization_micro(side: usize, procs: usize, reps: usize) -> Amortizatio
 /// resumable coupled transfer (one Multiblock sender, one HPF receiver,
 /// two steps through a [`RecoverySession`]) run under the supervisor
 /// twice — once fault-free, once with the receiving rank killed halfway
-/// through its transfer window and respawned from its checkpoint.  The
-/// settle time is the wall-clock difference: what the lease windows,
-/// restart, and part replay actually cost on this host.
+/// through its transfer window and respawned from its checkpoint.  Both
+/// wall times are reported as measured; their difference is not, because
+/// two separate runs' noise swamps it.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoverySettle {
     /// Transferred elements per step (f64, 8 bytes each).
@@ -607,15 +607,6 @@ pub struct RecoverySettle {
     pub ranks_recovered: u64,
     /// Transfer halves replayed while the recovered pair re-settled.
     pub parts_replayed: u64,
-}
-
-impl RecoverySettle {
-    /// Recovery overhead: crashed minus baseline wall time, floored at
-    /// zero (both runs share world setup and teardown, so the
-    /// difference isolates detection + restart + replay).
-    pub fn settle_ns(&self) -> f64 {
-        (self.crashed_ns - self.baseline_ns).max(0.0)
-    }
 }
 
 /// Steps in the settle micro: two, so a restarted life demonstrably
@@ -840,7 +831,6 @@ mod tests {
         let r = recovery_settle_micro(512);
         assert!(r.baseline_ns > 0.0 && r.crashed_ns > 0.0);
         assert!(r.ranks_recovered >= 1, "the scripted crash must recover");
-        assert!(r.settle_ns() >= 0.0);
     }
 
     #[test]

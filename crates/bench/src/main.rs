@@ -227,13 +227,9 @@ fn main() {
             let rec = recovery_settle_micro(4096);
             println!(
                 "recovery (simulated sp2, supervised): baseline {:.0} ns wall, \
-                 crashed+recovered {:.0} ns wall — settle {:.0} ns ({} rank(s) \
-                 respawned, {} part(s) replayed)",
-                rec.baseline_ns,
-                rec.crashed_ns,
-                rec.settle_ns(),
-                rec.ranks_recovered,
-                rec.parts_replayed
+                 crashed+recovered {:.0} ns wall ({} rank(s) respawned, {} \
+                 part(s) replayed)",
+                rec.baseline_ns, rec.crashed_ns, rec.ranks_recovered, rec.parts_replayed
             );
             let path = "BENCH_executor.json";
             let mut fields = vec![
@@ -255,7 +251,6 @@ fn main() {
                     JsonValue::Num(r.reliable_mbps().unwrap()),
                 ));
             }
-            fields.push(("recovery_settle_ns", JsonValue::Num(rec.settle_ns())));
             fields.push(("recovery_baseline_ns", JsonValue::Num(rec.baseline_ns)));
             fields.push(("recovery_crashed_ns", JsonValue::Num(rec.crashed_ns)));
             fields.push((
@@ -468,25 +463,18 @@ fn main() {
                 .collect();
             let mut points = Vec::new();
             println!(
-                "{:>6} {:>14} {:>14} {:>14} {:>12} {:>12} {:>12}",
-                "P",
-                "inspector vms",
-                "transfer vms",
-                "redist vms",
-                "insp wall",
-                "xfer wall",
-                "redist wall"
+                "{:>6} {:>14} {:>14} {:>14} {:>12} {:>12}",
+                "P", "inspector vms", "transfer vms", "redist vms", "coupled wall", "redist wall"
             );
             for &p in &procs {
                 let pt = scaling_point(p, n);
                 println!(
-                    "{:>6} {:>14} {:>14} {:>14} {:>9} ms {:>9} ms {:>9} ms",
+                    "{:>6} {:>14} {:>14} {:>14} {:>9} ms {:>9} ms",
                     pt.procs,
                     fmt_ms(pt.inspector_virtual_ms),
                     fmt_ms(pt.transfer_virtual_ms),
                     fmt_ms(pt.redist_virtual_ms),
-                    fmt_ms(pt.inspector_wall_ms),
-                    fmt_ms(pt.transfer_wall_ms),
+                    fmt_ms(pt.coupled_wall_ms),
                     fmt_ms(pt.redist_wall_ms)
                 );
                 points.push(pt);
@@ -512,8 +500,7 @@ fn main() {
                         ),
                         (format!("p{p}_transfer_virtual_ms"), pt.transfer_virtual_ms),
                         (format!("p{p}_redist_virtual_ms"), pt.redist_virtual_ms),
-                        (format!("p{p}_inspector_wall_ms"), pt.inspector_wall_ms),
-                        (format!("p{p}_transfer_wall_ms"), pt.transfer_wall_ms),
+                        (format!("p{p}_coupled_wall_ms"), pt.coupled_wall_ms),
                         (format!("p{p}_redist_wall_ms"), pt.redist_wall_ms),
                     ]
                 })
