@@ -6,6 +6,11 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo build --release
+# Two examples check their own results with assert!: run them, so a
+# broken integration (a fifth library, the client/server copies) fails
+# verify instead of only compiling.
+cargo run --release -q --example custom_library
+cargo run --release -q --example client_server
 # The benchmark crate is a workspace of its own, so the build above does
 # not compile it: build it here, unedited, so an API it still uses fails
 # verify instead of the benchmark run.
